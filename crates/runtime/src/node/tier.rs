@@ -217,21 +217,14 @@ impl TierSection for RawSection {
     }
 
     fn evaluate(&mut self, views: Vec<Tensor>) -> Result<(Tensor, Option<Tensor>)> {
-        // Run the full network in the cloud (config (a)). The per-sample
-        // device fan-out evaluates the independent device sections
-        // concurrently, in device order.
-        let mut sections: Vec<(&mut DevicePart, Tensor)> = Vec::with_capacity(self.devices.len());
+        // Run the full network in the cloud (config (a)), the device
+        // trunks one after another in device order on this node's thread.
+        let mut maps: Vec<Tensor> = Vec::with_capacity(self.devices.len());
         for (part, v) in self.devices.iter_mut().zip(views) {
             let mut dims = vec![1];
             dims.extend_from_slice(v.dims());
-            sections.push((part, v.reshape(dims)?));
+            maps.push(part.conv.forward(&v.reshape(dims)?, Mode::Eval)?);
         }
-        let maps: Vec<Tensor> = parallel::par_map_mut(&mut sections, |_, section| {
-            let (part, batch) = section;
-            part.conv.forward(batch, Mode::Eval)
-        })
-        .into_iter()
-        .collect::<ddnn_tensor::Result<_>>()?;
         let mut x = if let Some(e) = self.edge.as_mut() {
             let a = e.agg.forward(&maps)?;
             let m = e.conv.forward(&a, Mode::Eval)?;
@@ -349,7 +342,15 @@ pub(crate) struct TierNode<S: TierSection> {
 
 impl<S: TierSection> TierNode<S> {
     /// Runs the node until shutdown, returning its degradation telemetry.
-    pub(crate) fn run(mut self) -> Result<NodeReport> {
+    ///
+    /// The node thread owns its core: every kernel the section calls runs
+    /// serially on it instead of spawning pool workers (DESIGN.md §8.2).
+    pub(crate) fn run(self) -> Result<NodeReport> {
+        parallel::inline(|| self.serve())
+    }
+
+    /// The node loop behind [`TierNode::run`].
+    fn serve(mut self) -> Result<NodeReport> {
         let mut last_decision: Option<(u64, Decision)> = None;
         // Registered lazily so the legacy per-sample path (batch_max 1)
         // leaves the counter snapshot untouched.

@@ -236,7 +236,8 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tens
     // Fan the batch out across the pool; each element is an independent
     // `(f, rows) x (rows, pixels)` product. A single-element batch instead
     // parallelises inside the GEMM (across output rows), so per-sample
-    // inference still uses every core.
+    // inference outside the runtime still uses every core; runtime node
+    // threads run it serially (`parallel::inline`).
     parallel::par_item_chunks_mut(&mut out, f * pixels, |b0, chunk| {
         for (bi, res) in chunk.chunks_mut(f * pixels).enumerate() {
             let b = b0 + bi;

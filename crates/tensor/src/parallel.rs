@@ -10,16 +10,23 @@
 //! Threads are created per call with [`std::thread::scope`]; there is no
 //! long-lived pool. A thread-local flag marks pool workers so kernels that
 //! are *called from inside* a parallel region run serially instead of
-//! oversubscribing the machine with nested spawns.
+//! oversubscribing the machine with nested spawns. [`inline`] sets the same
+//! flag on a thread that already owns a core — a runtime hierarchy node —
+//! so its kernels never fan out at all.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::thread::{Scope, ScopedJoinHandle};
 
 thread_local! {
-    /// True while the current thread is a pool worker (prevents nesting).
+    /// True while the current thread is a pool worker or inside an
+    /// [`inline`] scope (prevents fan-out).
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
+
+/// Pool workers spawned by every fan-out in this process so far.
+static SPAWNED_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// RAII guard marking the current thread as a pool worker.
 struct PoolGuard {
@@ -38,9 +45,49 @@ impl Drop for PoolGuard {
     }
 }
 
+/// Spawns one pool worker on `s`, counting it and marking it with the
+/// nesting guard.
+fn spawn_worker<'scope, T, F>(s: &'scope Scope<'scope, '_>, f: F) -> ScopedJoinHandle<'scope, T>
+where
+    T: Send + 'scope,
+    F: FnOnce() -> T + Send + 'scope,
+{
+    SPAWNED_WORKERS.fetch_add(1, Ordering::Relaxed);
+    s.spawn(move || {
+        let _guard = PoolGuard::enter();
+        f()
+    })
+}
+
+/// Total pool workers the fan-outs in this module have spawned in this
+/// process. Read-only telemetry: tests take deltas of it to prove a code
+/// path never fans out.
+pub fn spawned_workers() -> usize {
+    SPAWNED_WORKERS.load(Ordering::Relaxed)
+}
+
+/// Runs `f` with every kernel it calls held to the calling thread:
+/// [`num_threads`] reports `1` for the scope's duration, so no fan-out in
+/// this module spawns. The previous setting is restored on exit, also when
+/// `f` unwinds, and scopes nest.
+///
+/// The runtime's hierarchy nodes each already run on their own OS thread,
+/// so a node thread is the unit of parallelism there; spawning per-kernel
+/// workers on top of that only oversubscribes the cores.
+pub fn inline<R>(f: impl FnOnce() -> R) -> R {
+    let _guard = PoolGuard::enter();
+    f()
+}
+
 fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Parses a `DDNN_THREADS` value: a number is clamped to `1..=256`; an
+/// unset or unparsable value yields `default`.
+fn threads_from(raw: Option<&str>, default: usize) -> usize {
+    raw.and_then(|v| v.trim().parse::<usize>().ok()).map_or(default, |n| n.clamp(1, 256))
 }
 
 /// Number of worker threads data-parallel kernels may use.
@@ -48,20 +95,12 @@ fn default_threads() -> usize {
 /// Honours the `DDNN_THREADS` environment variable (clamped to `1..=256`
 /// and re-read on every call, so tests can change it at runtime); defaults
 /// to [`std::thread::available_parallelism`]. Returns `1` on pool worker
-/// threads so parallel kernels never nest.
+/// threads and inside [`inline`] so parallel kernels never nest.
 pub fn num_threads() -> usize {
     if IN_POOL.with(Cell::get) {
         return 1;
     }
-    match std::env::var("DDNN_THREADS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .map_or_else(default_threads, |n| n.min(256)),
-        Err(_) => default_threads(),
-    }
+    threads_from(std::env::var("DDNN_THREADS").ok().as_deref(), default_threads())
 }
 
 /// Splits `data` — consecutive items of `item_width` elements each — into
@@ -89,10 +128,7 @@ where
     std::thread::scope(|s| {
         for (ci, chunk) in data.chunks_mut(per * item_width).enumerate() {
             let f = &f;
-            s.spawn(move || {
-                let _guard = PoolGuard::enter();
-                f(ci * per, chunk);
-            });
+            spawn_worker(s, move || f(ci * per, chunk));
         }
     });
 }
@@ -121,8 +157,7 @@ where
             .map(|_| {
                 let f = &f;
                 let cursor = &cursor;
-                s.spawn(move || {
-                    let _guard = PoolGuard::enter();
+                spawn_worker(s, move || {
                     let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -168,8 +203,7 @@ where
             .enumerate()
             .map(|(ci, chunk)| {
                 let f = &f;
-                s.spawn(move || {
-                    let _guard = PoolGuard::enter();
+                spawn_worker(s, move || {
                     chunk
                         .iter_mut()
                         .enumerate()
@@ -238,5 +272,53 @@ mod tests {
         if num_threads() > 1 {
             assert!(inner_counts.iter().all(|&n| n == 1));
         }
+    }
+
+    #[test]
+    fn threads_from_clamps_to_the_documented_range() {
+        assert_eq!(threads_from(Some("0"), 8), 1);
+        assert_eq!(threads_from(Some(" 4 "), 8), 4);
+        assert_eq!(threads_from(Some("1000"), 8), 256);
+        assert_eq!(threads_from(Some("many"), 8), 8);
+        assert_eq!(threads_from(Some("-2"), 8), 8);
+        assert_eq!(threads_from(None, 8), 8);
+    }
+
+    #[test]
+    fn inline_scope_reports_one_thread_and_restores_on_exit() {
+        // Runs on a fresh thread so the outer state is known (not a pool
+        // worker) whatever the harness does with its own threads.
+        std::thread::spawn(|| {
+            assert!(!IN_POOL.with(Cell::get));
+            assert_eq!(inline(num_threads), 1);
+            assert!(!IN_POOL.with(Cell::get));
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn inline_scopes_nest() {
+        std::thread::spawn(|| {
+            inline(|| {
+                assert_eq!(inline(num_threads), 1);
+                // The inner scope's exit must not clear the outer one.
+                assert_eq!(num_threads(), 1);
+            });
+            assert!(!IN_POOL.with(Cell::get));
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn inline_scope_restores_after_a_caught_panic() {
+        std::thread::spawn(|| {
+            let caught = std::panic::catch_unwind(|| inline(|| panic!("kernel failed")));
+            assert!(caught.is_err());
+            assert!(!IN_POOL.with(Cell::get));
+        })
+        .join()
+        .unwrap();
     }
 }

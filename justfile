@@ -20,11 +20,12 @@ test:
 
 # The topology sweep: configs (a)-(e) plus deep HierarchyBuilder chains
 # across worker-pool sizes and with deadline degradation on/off, with the
-# runtime crate held to clippy -D warnings.
+# runtime crate held to clippy -D warnings; node_threads checks that node
+# threads never fan kernels out to the pool.
 topology-matrix:
     cargo clippy -p ddnn-runtime --all-targets -- -D warnings
-    DDNN_THREADS=1 cargo test -p ddnn-runtime --test topology_matrix --test topology_equivalence -q
-    DDNN_THREADS=4 cargo test -p ddnn-runtime --test topology_matrix --test topology_equivalence -q
+    DDNN_THREADS=1 cargo test -p ddnn-runtime --test topology_matrix --test topology_equivalence --test node_threads -q
+    DDNN_THREADS=4 cargo test -p ddnn-runtime --test topology_matrix --test topology_equivalence --test node_threads -q
     DDNN_THREADS=1 DDNN_MATRIX_DEADLINES=1 cargo test -p ddnn-runtime --test topology_matrix -q
     DDNN_THREADS=4 DDNN_MATRIX_DEADLINES=1 cargo test -p ddnn-runtime --test topology_matrix -q
 
