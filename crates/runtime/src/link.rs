@@ -143,12 +143,6 @@ pub struct LinkSender {
     stats: Arc<LinkCounters>,
     name: Arc<str>,
     fault: Option<Arc<LinkFault>>,
-    /// Treat a hung-up receiver as a frame lost in flight rather than an
-    /// error. Set in deadline (fault-tolerant) mode, where late duplicates
-    /// and retransmissions can race a peer's orderly shutdown; the frame
-    /// still counts as transmitted, exactly like a real datagram sent to a
-    /// host that just went away.
-    lenient: bool,
     /// Which wire format this link speaks.
     format: WireFormat,
     /// ARQ retransmit buffer; every non-shutdown frame is registered here
@@ -167,17 +161,20 @@ impl LinkSender {
     /// dropped, duplicated, delayed, damaged (bit flips / truncation) or
     /// reordered per the seeded plan.
     ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Disconnected`] if the receiver hung up.
-    pub fn send(&self, frame: &Frame) -> Result<()> {
+    /// Sending never fails: a hung-up receiver is a frame lost in flight.
+    /// Late duplicates and retransmissions can race a peer's orderly
+    /// shutdown; the frame still counts as transmitted, exactly like a real
+    /// datagram sent to a host that just went away, and the deadlines
+    /// bound whatever waits on it.
+    pub fn send(&self, frame: &Frame) {
         if frame.is_shutdown() {
             // Shutdown bypasses faults and ARQ (tseq 0) so a chaotic run
             // always terminates; any held-back frame goes out first.
-            self.flush_held()?;
+            self.flush_held();
             let wire = self.encode_plain(frame);
             self.account(frame.payload_bytes(), wire.len(), 1, false);
-            return self.transmit(wire);
+            self.tx.transmit(wire);
+            return;
         }
         // Register with ARQ *before* the fault roll: a dropped primary is
         // then already buffered for retransmission.
@@ -188,7 +185,7 @@ impl LinkSender {
         let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll(frame));
         let Delivery::Deliver { duplicate, delay, corrupt, truncate, reorder } = delivery else {
             self.stats.frames_dropped.incr();
-            return Ok(());
+            return;
         };
         if let Some(d) = delay {
             std::thread::sleep(d);
@@ -209,19 +206,18 @@ impl LinkSender {
             // Park one copy until the next frame passes it; anything
             // already parked goes out now (at most one frame is held).
             for _ in 1..deliveries {
-                self.transmit(wire.clone())?;
+                self.tx.transmit(wire.clone());
             }
             let prior = self.held.lock().replace(wire);
             if let Some(p) = prior {
-                self.transmit(p)?;
+                self.tx.transmit(p);
             }
         } else {
             for _ in 0..deliveries {
-                self.transmit(wire.clone())?;
+                self.tx.transmit(wire.clone());
             }
-            self.flush_held()?;
+            self.flush_held();
         }
-        Ok(())
     }
 
     /// Encodes a frame without ARQ metadata in the link's wire format.
@@ -248,20 +244,11 @@ impl LinkSender {
         }
     }
 
-    /// Pushes raw wire bytes into the transport, honoring leniency.
-    fn transmit(&self, wire: bytes::Bytes) -> Result<()> {
-        if !self.tx.transmit(wire) && !self.lenient {
-            return Err(RuntimeError::Disconnected { node: self.name.to_string() });
-        }
-        Ok(())
-    }
-
     /// Releases a reorder-held frame, if any.
-    fn flush_held(&self) -> Result<()> {
+    fn flush_held(&self) {
         let held = self.held.lock().take();
-        match held {
-            Some(wire) => self.transmit(wire),
-            None => Ok(()),
+        if let Some(wire) = held {
+            self.tx.transmit(wire);
         }
     }
 
@@ -487,7 +474,6 @@ pub fn link(name: &str) -> (LinkSender, LinkReceiver, Arc<LinkCounters>) {
             stats: Arc::clone(&stats),
             name: Arc::clone(&name),
             fault: None,
-            lenient: false,
             format: WireFormat::Legacy,
             arq: None,
             held: Arc::new(Mutex::new(None)),
@@ -509,17 +495,15 @@ pub fn inbox(name: &str) -> (Sender<bytes::Bytes>, LinkReceiver) {
 /// per-sender traffic (e.g. `device3->gateway`) is accounted individually
 /// even though all frames land in the same inbox.
 pub fn attach_sender(tx: &Sender<bytes::Bytes>, name: &str) -> (LinkSender, Arc<LinkCounters>) {
-    attach_faulty_sender(tx, name, None, false)
+    attach_faulty_sender(tx, name, None)
 }
 
 /// Like [`attach_sender`], but routes every frame through a fault layer
-/// first (`None` behaves exactly like `attach_sender`), and optionally
-/// tolerates a departed receiver (`lenient`; see [`LinkSender`]).
+/// first (`None` behaves exactly like `attach_sender`).
 pub(crate) fn attach_faulty_sender(
     tx: &Sender<bytes::Bytes>,
     name: &str,
     fault: Option<Arc<LinkFault>>,
-    lenient: bool,
 ) -> (LinkSender, Arc<LinkCounters>) {
     let stats = Arc::new(LinkCounters::default());
     (
@@ -528,7 +512,6 @@ pub(crate) fn attach_faulty_sender(
             stats: Arc::clone(&stats),
             name: Arc::from(name),
             fault,
-            lenient,
             format: WireFormat::Legacy,
             arq: None,
             held: Arc::new(Mutex::new(None)),
@@ -548,7 +531,6 @@ pub(crate) struct LinkFactory<'a> {
     reliability: &'a ReliabilityConfig,
     /// Effective ARQ tuning (`max_age_ms` clamped to the deadline).
     tuning: ArqTuning,
-    tolerant: bool,
     /// Run observability: link counters are registered here, and inboxes
     /// plus ARQ states emit timeline events through it.
     obs: Arc<RunObs>,
@@ -567,8 +549,7 @@ impl<'a> LinkFactory<'a> {
     pub(crate) fn new(
         plan: &'a FaultPlan,
         reliability: &'a ReliabilityConfig,
-        deadlines: Option<&DeadlineConfig>,
-        tolerant: bool,
+        deadlines: &DeadlineConfig,
         obs: Arc<RunObs>,
         transport: TransportConfig,
     ) -> Self {
@@ -578,7 +559,6 @@ impl<'a> LinkFactory<'a> {
             fault_active: plan.is_active(),
             reliability,
             tuning: reliability.arq.effective(deadlines),
-            tolerant,
             obs,
             transport: host,
             tseq_base: 0,
@@ -715,7 +695,6 @@ impl<'a> LinkFactory<'a> {
             stats: Arc::clone(&stats),
             name: Arc::from(name),
             fault,
-            lenient: self.tolerant,
             format: if mode.is_checked() { WireFormat::Checked } else { WireFormat::Legacy },
             arq,
             held: Arc::new(Mutex::new(None)),
@@ -766,7 +745,6 @@ impl<'a> LinkFactory<'a> {
             stats: Arc::new(LinkCounters::default()),
             name: Arc::from(name),
             fault: None,
-            lenient: false,
             format: self.wire_format(),
             arq: None,
             held: Arc::new(Mutex::new(None)),
@@ -791,7 +769,7 @@ mod tests {
     fn frames_survive_the_link() {
         let (tx, rx, stats) = link("device0->gateway");
         let f = Frame::new(7, NodeId::Device(0), Payload::Scores { scores: vec![1.0, 2.0, 3.0] });
-        tx.send(&f).unwrap();
+        tx.send(&f);
         let got = rx.recv().unwrap();
         assert_eq!(got, f);
         let s = stats.snapshot();
@@ -817,7 +795,7 @@ mod tests {
     fn payload_byte_accounting_accumulates() {
         let (tx, rx, stats) = link("acc");
         for i in 0..5 {
-            tx.send(&Frame::new(i, NodeId::Gateway, Payload::OffloadRequest)).unwrap();
+            tx.send(&Frame::new(i, NodeId::Gateway, Payload::OffloadRequest));
         }
         for _ in 0..5 {
             rx.recv().unwrap();
@@ -834,7 +812,7 @@ mod tests {
         let deadline = Instant::now() + std::time::Duration::from_millis(10);
         assert!(rx.recv_deadline(deadline).unwrap().is_none());
         let f = Frame::new(1, NodeId::Gateway, Payload::OffloadRequest);
-        tx.send(&f).unwrap();
+        tx.send(&f);
         let deadline = Instant::now() + std::time::Duration::from_millis(100);
         assert_eq!(rx.recv_deadline(deadline).unwrap(), Some(f));
     }
@@ -845,8 +823,8 @@ mod tests {
         let plan = FaultPlan { seed: 3, drop_prob: 1.0, ..FaultPlan::none() };
         let (raw_tx, rx) = inbox("sink");
         let fault = Some(Arc::new(LinkFault::new(&plan, "lossy", None)));
-        let (tx, stats) = attach_faulty_sender(&raw_tx, "lossy", fault, false);
-        tx.send(&Frame::new(0, NodeId::Gateway, Payload::OffloadRequest)).unwrap();
+        let (tx, stats) = attach_faulty_sender(&raw_tx, "lossy", fault);
+        tx.send(&Frame::new(0, NodeId::Gateway, Payload::OffloadRequest));
         assert!(rx.try_recv().unwrap().is_none());
         let s = stats.snapshot();
         assert_eq!(s.frames_dropped, 1);
@@ -859,9 +837,9 @@ mod tests {
         let plan = FaultPlan { seed: 3, duplicate_prob: 1.0, ..FaultPlan::none() };
         let (raw_tx, rx) = inbox("sink");
         let fault = Some(Arc::new(LinkFault::new(&plan, "chatty", None)));
-        let (tx, stats) = attach_faulty_sender(&raw_tx, "chatty", fault, false);
+        let (tx, stats) = attach_faulty_sender(&raw_tx, "chatty", fault);
         let f = Frame::new(0, NodeId::Gateway, Payload::OffloadRequest);
-        tx.send(&f).unwrap();
+        tx.send(&f);
         assert_eq!(rx.recv().unwrap(), f);
         assert_eq!(rx.recv().unwrap(), f);
         let s = stats.snapshot();

@@ -6,36 +6,34 @@
 
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
+use crate::fault::DeadlineConfig;
 use crate::node::report::NodeReport;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Completion policy of a [`Collector`].
-pub(crate) enum AggPolicy {
-    /// Paper-exact static fault model: the live set is known a priori and
-    /// the node waits indefinitely for all of its members.
-    Static {
-        /// Number of sources that will actually send.
-        required: usize,
-    },
-    /// Dynamic graceful degradation: wait for every source up to a
-    /// per-sample deadline, then substitute blanks. Sources missing
-    /// `suspect_after` consecutive deadlines are presumed dead and no
-    /// longer waited for; they revive on their next frame.
-    Deadline {
-        /// Per-sample aggregation deadline (ms).
-        aggregation_ms: u64,
-        /// Consecutive misses before a source is presumed dead.
-        suspect_after: u32,
-        /// Clock the deadlines are computed against.
-        clock: SimClock,
-    },
+/// Completion policy of a [`Collector`]: wait for every source up to a
+/// per-sample deadline, then substitute blanks. Sources missing
+/// `suspect_after` consecutive deadlines are presumed dead and no longer
+/// waited for; they revive on their next frame.
+pub(crate) struct AggPolicy {
+    /// Per-sample aggregation deadline (ms).
+    pub(crate) aggregation_ms: u64,
+    /// Consecutive misses before a source is presumed dead.
+    pub(crate) suspect_after: u32,
+    /// Clock the deadlines are computed against.
+    pub(crate) clock: SimClock,
+}
+
+impl AggPolicy {
+    pub(crate) fn new(dl: &DeadlineConfig, clock: SimClock) -> Self {
+        AggPolicy { aggregation_ms: dl.aggregation_ms, suspect_after: dl.suspect_after, clock }
+    }
 }
 
 /// One sample's partially gathered contributions.
 struct PendingSample<T> {
     slots: Vec<Option<T>>,
-    deadline: Option<Instant>,
+    deadline: Instant,
 }
 
 /// What a collector did with one inserted contribution.
@@ -47,7 +45,7 @@ pub(crate) enum Ingest<T> {
         /// Per-source contributions, blanks substituted where missing.
         items: Vec<T>,
         /// How many of `items` are substituted blanks rather than genuine
-        /// contributions (a priori failed sources and deadline misses).
+        /// contributions (statically failed sources and deadline misses).
         substituted: usize,
     },
     /// Contribution for the most recently completed sample — a duplicate,
@@ -64,8 +62,8 @@ pub(crate) enum Ingest<T> {
 }
 
 /// Gathers one contribution per source for each sample, substituting the
-/// source's blank signature when its contribution misses the deadline (or,
-/// statically, when the source is a priori failed). Completed samples are
+/// source's blank signature when its contribution misses the deadline or
+/// the source is a statically failed device. Completed samples are
 /// guarded by a watermark so late duplicates can never re-open a pending
 /// entry (the pending-map leak), and stale partials are garbage-collected.
 pub(crate) struct Collector<T> {
@@ -75,12 +73,16 @@ pub(crate) struct Collector<T> {
     /// Source index → device index (`None` when the source is not an end
     /// device, e.g. a tier feeding the next tier).
     device_of_source: Vec<Option<usize>>,
+    /// Per-device static live mask (`HierarchyConfig::failed_devices`): a
+    /// dead device's source is never waited for, and its blank is neither
+    /// charged as a timeout nor counted as degradation.
+    live_devices: Vec<bool>,
     pending: HashMap<u64, PendingSample<T>>,
-    /// Consecutive deadline misses per source (dynamic mode only).
+    /// Consecutive deadline misses per source.
     misses: Vec<u32>,
     /// Total deadline substitutions per source.
     timeouts: Vec<usize>,
-    /// Samples finalized with at least one substitution.
+    /// Samples finalized with at least one deadline substitution.
     degraded: Vec<u64>,
     /// Highest completed sample.
     watermark: Option<u64>,
@@ -95,12 +97,14 @@ impl<T: Clone> Collector<T> {
         blanks: Vec<T>,
         policy: AggPolicy,
         device_of_source: Vec<Option<usize>>,
+        live_devices: &[bool],
     ) -> Self {
         Collector {
             num_sources,
             blanks,
             policy,
             device_of_source,
+            live_devices: live_devices.to_vec(),
             pending: HashMap::new(),
             misses: vec![0; num_sources],
             timeouts: vec![0; num_sources],
@@ -108,6 +112,11 @@ impl<T: Clone> Collector<T> {
             watermark: None,
             timeout_stash: Vec::new(),
         }
+    }
+
+    /// Whether `source` is a statically failed device.
+    fn is_dead(&self, source: usize) -> bool {
+        self.device_of_source[source].is_some_and(|d| !self.live_devices[d])
     }
 
     /// Drops every pending partial and refuses samples below `floor` from
@@ -174,39 +183,21 @@ impl<T: Clone> Collector<T> {
     /// under deadline degradation treat this as a degraded sample rather
     /// than aborting the node.
     pub(crate) fn insert(&mut self, seq: u64, source: usize, item: T) -> Result<Ingest<T>> {
-        if matches!(self.policy, AggPolicy::Deadline { .. }) {
-            // Any frame proves the source is alive, whatever its sample.
-            self.misses[source] = 0;
-        }
+        // Any frame proves the source is alive, whatever its sample.
+        self.misses[source] = 0;
         match self.watermark {
             Some(w) if seq < w => return Ok(Ingest::Stale),
             Some(w) if seq == w => return Ok(Ingest::Replay { seq }),
             _ => {}
         }
-        let deadline = match &self.policy {
-            AggPolicy::Static { .. } => None,
-            AggPolicy::Deadline { aggregation_ms, clock, .. } => {
-                Some(clock.deadline_in(*aggregation_ms))
-            }
-        };
-        let entry = self
-            .pending
-            .entry(seq)
-            .or_insert_with(|| PendingSample { slots: vec![None; self.num_sources], deadline });
+        let entry = self.pending.entry(seq).or_insert_with(|| PendingSample {
+            slots: vec![None; self.num_sources],
+            deadline: self.policy.clock.deadline_in(self.policy.aggregation_ms),
+        });
         entry.slots[source] = Some(item);
-        let done = {
-            let entry = &self.pending[&seq];
-            match &self.policy {
-                AggPolicy::Static { required } => {
-                    entry.slots.iter().filter(|s| s.is_some()).count() >= *required
-                }
-                AggPolicy::Deadline { suspect_after, .. } => entry
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .all(|(s, slot)| slot.is_some() || self.misses[s] >= *suspect_after),
-            }
-        };
+        let done = self.pending[&seq].slots.iter().enumerate().all(|(s, slot)| {
+            slot.is_some() || self.is_dead(s) || self.misses[s] >= self.policy.suspect_after
+        });
         if done {
             let (seq, items, substituted) = self.finalize(seq)?;
             Ok(Ingest::Complete { seq, items, substituted })
@@ -217,7 +208,7 @@ impl<T: Clone> Collector<T> {
 
     /// The earliest deadline among pending samples, if any.
     pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        self.pending.values().filter_map(|p| p.deadline).min()
+        self.pending.values().map(|p| p.deadline).min()
     }
 
     /// Finalizes (with blank substitution) the oldest pending sample whose
@@ -228,12 +219,7 @@ impl<T: Clone> Collector<T> {
     /// Returns [`RuntimeError::Collector`] if the selected sample vanished
     /// from the pending map before finalize (see [`Collector::insert`]).
     pub(crate) fn expire(&mut self, now: Instant) -> Result<Option<(u64, Vec<T>, usize)>> {
-        let seq = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline.is_some_and(|d| d <= now))
-            .map(|(&k, _)| k)
-            .min();
+        let seq = self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(&k, _)| k).min();
         match seq {
             None => Ok(None),
             Some(seq) => self.finalize(seq).map(Some),
@@ -242,11 +228,12 @@ impl<T: Clone> Collector<T> {
 
     /// Removes `seq` from pending, substitutes blanks for missing slots,
     /// advances the watermark and garbage-collects stale partials. The third
-    /// element of the result counts substituted slots (static and dynamic
-    /// alike) so aggregation events can report degradation honestly.
+    /// element of the result counts every substituted slot, statically
+    /// failed sources included, so aggregation events can report
+    /// substitution honestly; only deadline misses are charged and degrade
+    /// the sample.
     fn finalize(&mut self, seq: u64) -> Result<(u64, Vec<T>, usize)> {
         let entry = self.pending.remove(&seq).ok_or(RuntimeError::Collector { seq })?;
-        let dynamic = matches!(self.policy, AggPolicy::Deadline { .. });
         let mut items = Vec::with_capacity(self.num_sources);
         let mut substituted = 0usize;
         let mut missing_any = false;
@@ -256,7 +243,7 @@ impl<T: Clone> Collector<T> {
                 None => {
                     items.push(self.blanks[s].clone());
                     substituted += 1;
-                    if dynamic {
+                    if !self.is_dead(s) {
                         self.timeouts[s] += 1;
                         self.misses[s] = self.misses[s].saturating_add(1);
                         missing_any = true;
@@ -303,26 +290,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn static_collector(k: usize) -> Collector<u32> {
+    /// A collector over `k` device sources whose deadline never expires
+    /// in-test and whose sources are never presumed dead by misses.
+    fn collector(k: usize, live: &[bool]) -> Collector<u32> {
         Collector::new(
             k,
             (0..k).map(|s| 1000 + s as u32).collect(),
-            AggPolicy::Static { required: k },
-            (0..k).map(Some).collect(),
-        )
-    }
-
-    fn deadline_collector(k: usize) -> Collector<u32> {
-        Collector::new(
-            k,
-            (0..k).map(|s| 1000 + s as u32).collect(),
-            AggPolicy::Deadline {
+            AggPolicy {
                 aggregation_ms: 60_000, // far enough out never to expire in-test
                 suspect_after: u32::MAX,
                 clock: SimClock::start(),
             },
             (0..k).map(Some).collect(),
+            live,
         )
+    }
+
+    fn deadline_collector(k: usize) -> Collector<u32> {
+        collector(k, &vec![true; k])
     }
 
     /// Deterministic Fisher–Yates permutation of `0..k` from a seed (a
@@ -338,15 +323,17 @@ mod tests {
         order
     }
 
-    fn check_order_independence(
-        mut collector: Collector<u32>,
-        k: usize,
-        seed: u64,
-        dups: &[usize],
-    ) {
-        // Reference: in-order arrival of every source's contribution.
-        let reference: Vec<u32> = (0..k as u32).collect();
-        let order = permutation(k, seed);
+    /// Delivers every live source's contribution to one sample in a seeded
+    /// order with interleaved duplicates; `dead` names a statically failed
+    /// source that never sends.
+    fn check_order_independence(k: usize, dead: Option<usize>, seed: u64, dups: &[usize]) {
+        let live: Vec<bool> = (0..k).map(|s| Some(s) != dead).collect();
+        let mut collector = collector(k, &live);
+        // Reference: every live contribution in source order, the dead
+        // source's blank in its own slot.
+        let reference: Vec<u32> =
+            (0..k).map(|s| if live[s] { s as u32 } else { 1000 + s as u32 }).collect();
+        let order: Vec<usize> = permutation(k, seed).into_iter().filter(|&s| live[s]).collect();
         let mut completions: Vec<Vec<u32>> = Vec::new();
         for (idx, &s) in order.iter().enumerate() {
             // Interleave duplicates of already-delivered sources; they must
@@ -365,10 +352,10 @@ mod tests {
             match collector.insert(7, s, s as u32).unwrap() {
                 Ingest::Complete { seq, items, substituted } => {
                     assert_eq!(seq, 7);
-                    assert_eq!(substituted, 0, "all slots genuinely filled");
+                    assert_eq!(substituted, usize::from(dead.is_some()), "only the dead slot");
                     completions.push(items);
                 }
-                Ingest::Pending => assert!(idx + 1 < k, "last insert must complete"),
+                Ingest::Pending => assert!(idx + 1 < order.len(), "last insert must complete"),
                 Ingest::Replay { .. } | Ingest::Stale => panic!("fresh contribution misclassified"),
             }
         }
@@ -379,8 +366,9 @@ mod tests {
         // After completion the watermark holds: duplicates replay, older
         // sequences are stale.
         assert!(matches!(collector.insert(7, order[0], 0).unwrap(), Ingest::Replay { seq: 7 }));
-        assert!(matches!(collector.insert(3, 0, 0).unwrap(), Ingest::Stale));
-        // No degradation was recorded: every slot was genuinely filled.
+        assert!(matches!(collector.insert(3, order[0], 0).unwrap(), Ingest::Stale));
+        // No degradation was recorded: every live slot was genuinely
+        // filled, and a statically failed source is not degradation.
         let report = collector.into_report();
         assert!(report.device_timeouts.is_empty());
         assert!(report.degraded.is_empty());
@@ -388,47 +376,55 @@ mod tests {
 
     proptest! {
         #[test]
-        fn static_finalization_is_order_independent(
+        fn finalization_is_order_independent(
             k in 2usize..6,
             seed in 0u64..1024,
             dups in prop::collection::vec(0usize..6, 0..5),
         ) {
-            check_order_independence(static_collector(k), k, seed, &dups);
+            check_order_independence(k, None, seed, &dups);
         }
 
         #[test]
-        fn deadline_finalization_is_order_independent(
+        fn finalization_around_a_dead_source_is_order_independent(
             k in 2usize..6,
+            dead in 0usize..6,
             seed in 0u64..1024,
             dups in prop::collection::vec(0usize..6, 0..5),
         ) {
-            check_order_independence(deadline_collector(k), k, seed, &dups);
+            check_order_independence(k, Some(dead % k), seed, &dups);
         }
     }
 
     #[test]
-    fn static_policy_substitutes_blanks_for_a_priori_failed_sources() {
-        // 3 sources, one (index 1) known-dead: required = 2.
-        let mut c = Collector::new(
-            3,
-            vec![100, 101, 102],
-            AggPolicy::Static { required: 2 },
-            (0..3).map(Some).collect(),
-        );
+    fn dead_source_is_not_waited_for_charged_or_degraded() {
+        // 3 device sources, device 1 statically failed.
+        let mut c = collector(3, &[true, false, true]);
+        // Not waited for, substituted from the very first sample.
         assert!(matches!(c.insert(0, 0, 7).unwrap(), Ingest::Pending));
         match c.insert(0, 2, 9).unwrap() {
             Ingest::Complete { seq, items, substituted } => {
                 assert_eq!(seq, 0);
-                assert_eq!(items, vec![7, 101, 9]); // blank substituted in place
-                assert_eq!(substituted, 1, "the a priori dead source counts");
+                assert_eq!(items, vec![7, 1001, 9]); // blank substituted in place
+                assert_eq!(substituted, 1, "the dead source counts as substituted");
             }
-            _ => panic!("second live contribution must complete"),
+            _ => panic!("the last live contribution must complete"),
         }
-        // Static substitution is the paper's intended §IV-G behavior, not
-        // dynamic degradation: nothing is reported.
+        // Membership relief cannot make the collector wait for it either.
+        c.clear_suspect(1);
+        assert!(matches!(c.insert(1, 2, 9).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(1, 0, 7).unwrap(), Ingest::Complete { .. }));
+        // A deadline miss by a live source is charged to that source alone.
+        assert!(matches!(c.insert(2, 0, 7).unwrap(), Ingest::Pending));
+        let late = Instant::now() + std::time::Duration::from_secs(120);
+        let (seq, items, substituted) = c.expire(late).unwrap().unwrap();
+        assert_eq!((seq, substituted), (2, 2));
+        assert_eq!(items, vec![7, 1001, 1002]);
+        // The static substitution is the paper's intended §IV-G behavior:
+        // the dead device is never charged, and only the sample with a
+        // genuine deadline miss is degraded.
         let report = c.into_report();
-        assert!(report.device_timeouts.is_empty());
-        assert!(report.degraded.is_empty());
+        assert_eq!(report.device_timeouts, vec![(2, 1)]);
+        assert_eq!(report.degraded, vec![2]);
     }
 
     #[test]
@@ -468,17 +464,14 @@ mod tests {
         let mut c = Collector::new(
             1,
             vec![500u32],
-            AggPolicy::Deadline {
-                aggregation_ms: 60_000,
-                suspect_after: u32::MAX,
-                clock: SimClock::start(),
-            },
+            AggPolicy { aggregation_ms: 60_000, suspect_after: u32::MAX, clock: SimClock::start() },
             vec![None],
+            &[],
         );
         c.mark_suspect(0);
         // With every source suspect, nothing can arrive to trigger the
         // done-check; the deadline path finalizes instead. Simulate it.
-        c.pending.insert(0, PendingSample { slots: vec![None], deadline: Some(Instant::now()) });
+        c.pending.insert(0, PendingSample { slots: vec![None], deadline: Instant::now() });
         let (seq, items, substituted) = c.expire(Instant::now()).unwrap().unwrap();
         assert_eq!((seq, substituted), (0, 1));
         assert_eq!(items, vec![500]);
@@ -534,7 +527,7 @@ mod tests {
         // A finalize racing a duplicate (the sample already completed and
         // was garbage-collected) must surface as a typed error the node
         // loop can tolerate, not a panic that takes the thread down.
-        let mut c = static_collector(2);
+        let mut c = deadline_collector(2);
         match c.finalize(42) {
             Err(RuntimeError::Collector { seq: 42 }) => {}
             other => panic!("expected Collector error, got {other:?}"),

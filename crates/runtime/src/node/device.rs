@@ -44,10 +44,9 @@ pub(crate) fn blank_signature(part: &DevicePart, config: &DdnnConfig) -> Result<
     Ok(BlankSignature { scores: scores.data().to_vec(), map: map.index_axis0(0)? })
 }
 
-/// Runs a device node until shutdown. In `tolerant` mode (deadlines
-/// active) protocol hiccups that faults make possible — duplicated stale
-/// captures, offload requests racing a retried capture — are ignored
-/// instead of aborting the node.
+/// Runs a device node until shutdown. Protocol hiccups that faults and
+/// retries make possible — duplicated stale captures, offload requests
+/// racing a retried capture — are ignored instead of aborting the node.
 ///
 /// `capture_cap` bounds the per-seq feature-map cache: the closed-loop
 /// runner passes 1 (one sample in flight — the legacy single-slot
@@ -68,7 +67,6 @@ pub(crate) fn device_node(
     mut inbox: NodeInbox,
     to_gateway: LinkSender,
     to_upper: LinkSender,
-    tolerant: bool,
     capture_cap: usize,
     obs: Arc<RunObs>,
     elastic: Option<DeviceElastic>,
@@ -112,7 +110,7 @@ pub(crate) fn device_node(
                         frame.seq,
                         NodeId::Device(d as u8),
                         Payload::Pong,
-                    ))?;
+                    ));
                     continue;
                 }
                 if el.control.admit(frame.seq).is_err() {
@@ -122,17 +120,15 @@ pub(crate) fn device_node(
             }
             match frame.payload {
                 Payload::Capture { view } => {
-                    if tolerant {
-                        // A duplicated or jittered capture for an older sample
-                        // must not roll the cache window backwards: once the
-                        // window is full, captures below its floor are dead on
-                        // arrival (with the legacy single slot this is exactly
-                        // the old "never replace latest with older" rule).
-                        if cache.len() >= capture_cap {
-                            if let Some((&oldest, _)) = cache.first_key_value() {
-                                if frame.seq < oldest {
-                                    continue;
-                                }
+                    // A duplicated or jittered capture for an older sample
+                    // must not roll the cache window backwards: once the
+                    // window is full, captures below its floor are dead on
+                    // arrival (with the closed loop's single slot this is
+                    // exactly "never replace latest with older").
+                    if cache.len() >= capture_cap {
+                        if let Some((&oldest, _)) = cache.first_key_value() {
+                            if frame.seq < oldest {
+                                continue;
                             }
                         }
                     }
@@ -157,7 +153,7 @@ pub(crate) fn device_node(
                             frame.seq,
                             NodeId::Device(d as u8),
                             Payload::Scores { scores: scores.data().to_vec() },
-                        ))?;
+                        ));
                     }
                 }
                 Payload::OffloadRequest => {
@@ -169,35 +165,15 @@ pub(crate) fn device_node(
                         Some(el) => el.control.device_parent().map(|k| &el.to_tiers[k]),
                         None => Some(&to_upper),
                     };
-                    match cache.get(&frame.seq) {
-                        Some(map) => {
-                            if let Some(sink) = sink {
-                                offloads.incr();
-                                sink.send(&Frame::new(
-                                    frame.seq,
-                                    NodeId::Device(d as u8),
-                                    features_payload(map)?,
-                                ))?;
-                            }
-                        }
-                        None if tolerant => {} // stale or premature request under faults
-                        None => match cache.last_key_value() {
-                            None => {
-                                return Err(RuntimeError::Protocol {
-                                    reason: format!(
-                                        "device {d}: offload request before any capture"
-                                    ),
-                                })
-                            }
-                            Some((seq, _)) => {
-                                return Err(RuntimeError::Protocol {
-                                    reason: format!(
-                                        "device {d}: offload for sample {} but latest is {seq}",
-                                        frame.seq
-                                    ),
-                                })
-                            }
-                        },
+                    // A request with no cached map is stale or premature
+                    // (it raced a retried or lost capture): nothing to send.
+                    if let (Some(map), Some(sink)) = (cache.get(&frame.seq), sink) {
+                        offloads.incr();
+                        sink.send(&Frame::new(
+                            frame.seq,
+                            NodeId::Device(d as u8),
+                            features_payload(map)?,
+                        ));
                     }
                 }
                 other => {

@@ -408,11 +408,7 @@ impl<S: TierSection> TierNode<S> {
                     // next loop pass enters the silent path.
                     Some(el) if el.control.is_churn_down(el.ix) => continue,
                     Some(_) if matches!(frame.payload, Payload::Ping) => {
-                        self.to_orchestrator.send(&Frame::new(
-                            frame.seq,
-                            self.id,
-                            Payload::Pong,
-                        ))?;
+                        self.to_orchestrator.send(&Frame::new(frame.seq, self.id, Payload::Pong));
                         continue;
                     }
                     _ => {}
@@ -469,7 +465,7 @@ impl<S: TierSection> TierNode<S> {
                                 frame.seq,
                                 self.id,
                                 Payload::Pong,
-                            ))?;
+                            ));
                             continue;
                         }
                         _ => {}
@@ -716,24 +712,27 @@ impl<S: TierSection> TierNode<S> {
             (Decision::Verdict(frame), _) => self.to_orchestrator.send(frame),
             (Decision::Broadcast, Escalation::RequestFromDevices(devices)) => {
                 for sender in devices.iter().flatten() {
-                    sender.send(&Frame::new(seq, self.id, Payload::OffloadRequest))?;
+                    sender.send(&Frame::new(seq, self.id, Payload::OffloadRequest));
                 }
-                Ok(())
             }
             (Decision::Forward(frame), Escalation::ForwardMap(next)) => {
                 match self.elastic.as_ref() {
-                    Some(el) => match el.route_target.and_then(|j| el.to_tiers[j].as_ref()) {
-                        Some(link) => link.send(frame),
-                        // The target vanished since the decision was
-                        // cached: drop the replay, the epoch has moved on.
-                        None => Ok(()),
-                    },
+                    Some(el) => {
+                        // A target that vanished since the decision was
+                        // cached drops the replay: the epoch has moved on.
+                        if let Some(link) = el.route_target.and_then(|j| el.to_tiers[j].as_ref()) {
+                            link.send(frame);
+                        }
+                    }
                     None => next.send(frame),
                 }
             }
-            _ => Err(RuntimeError::Protocol {
-                reason: format!("{}: decision does not match escalation target", self.name),
-            }),
+            _ => {
+                return Err(RuntimeError::Protocol {
+                    reason: format!("{}: decision does not match escalation target", self.name),
+                })
+            }
         }
+        Ok(())
     }
 }

@@ -97,10 +97,8 @@ impl ArqTuning {
     /// The tuning actually used in a run: `max_age_ms` clamped to the
     /// aggregation deadline, so retransmission stops once degradation has
     /// already resolved the sample.
-    pub(crate) fn effective(mut self, deadlines: Option<&DeadlineConfig>) -> Self {
-        if let Some(d) = deadlines {
-            self.max_age_ms = self.max_age_ms.min(d.aggregation_ms);
-        }
+    pub(crate) fn effective(mut self, deadlines: &DeadlineConfig) -> Self {
+        self.max_age_ms = self.max_age_ms.min(deadlines.aggregation_ms);
         self
     }
 }
@@ -156,17 +154,15 @@ impl ReliabilityConfig {
             || self.link_overrides.iter().any(|(_, m)| matches!(m, ReliabilityMode::Arq))
     }
 
-    /// Validates the configuration against the run's fault plan and
-    /// deadlines.
+    /// Validates the configuration against the run's fault plan.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Config`] when byte-mutating faults are
     /// paired with unchecked framing (they would silently mis-decode),
     /// when an override tries to mix the legacy format with checked links,
-    /// or when ARQ runs without deadlines (its give-up policy is defined
-    /// by the sample deadline).
-    pub fn validate(&self, plan: &FaultPlan, deadlines: Option<&DeadlineConfig>) -> Result<()> {
+    /// or when an ARQ tuning is zero.
+    pub fn validate(&self, plan: &FaultPlan) -> Result<()> {
         if self.mode.is_checked() {
             if let Some((name, _)) = self.link_overrides.iter().find(|(_, m)| !m.is_checked()) {
                 return Err(RuntimeError::Config {
@@ -188,13 +184,6 @@ impl ReliabilityConfig {
             return Err(RuntimeError::Config {
                 reason: "corruption/truncation faults require a checked wire format \
                          (ReliabilityMode::Crc or Arq); legacy frames would silently mis-decode"
-                    .into(),
-            });
-        }
-        if self.any_arq() && deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: "ARQ requires deadlines: its give-up policy is bounded by the \
-                         aggregation deadline"
                     .into(),
             });
         }
@@ -848,7 +837,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_degenerate_arq_tunings() {
-        let deadlines = DeadlineConfig::fast();
         for bad in [
             ArqTuning { retransmit_ms: 0, ..ArqTuning::default() },
             ArqTuning { backoff_cap_ms: 0, ..ArqTuning::default() },
@@ -857,38 +845,36 @@ mod tests {
         ] {
             let cfg = ReliabilityConfig { arq: bad, ..ReliabilityConfig::arq() };
             assert!(
-                cfg.validate(&FaultPlan::none(), Some(&deadlines)).is_err(),
+                cfg.validate(&FaultPlan::none()).is_err(),
                 "degenerate tuning {bad:?} must be rejected"
             );
             // The same tuning is fine when no link runs ARQ.
             let crc = ReliabilityConfig { arq: bad, ..ReliabilityConfig::crc() };
-            assert!(crc.validate(&FaultPlan::none(), Some(&deadlines)).is_ok());
+            assert!(crc.validate(&FaultPlan::none()).is_ok());
         }
     }
 
     #[test]
     fn validate_enforces_mode_pairings() {
         let corrupting = FaultPlan { seed: 1, corrupt_prob: 0.1, ..FaultPlan::none() };
-        let deadlines = DeadlineConfig::fast();
         // Corruption faults need a checked format.
-        assert!(ReliabilityConfig::off().validate(&corrupting, Some(&deadlines)).is_err());
-        assert!(ReliabilityConfig::crc().validate(&corrupting, Some(&deadlines)).is_ok());
-        // ARQ needs deadlines.
-        assert!(ReliabilityConfig::arq().validate(&FaultPlan::none(), None).is_err());
-        assert!(ReliabilityConfig::arq().validate(&corrupting, Some(&deadlines)).is_ok());
+        assert!(ReliabilityConfig::off().validate(&corrupting).is_err());
+        assert!(ReliabilityConfig::crc().validate(&corrupting).is_ok());
+        assert!(ReliabilityConfig::arq().validate(&FaultPlan::none()).is_ok());
+        assert!(ReliabilityConfig::arq().validate(&corrupting).is_ok());
         // No mixing wire formats.
         let mixed = ReliabilityConfig {
             mode: ReliabilityMode::Crc,
             link_overrides: vec![("a->b".into(), ReliabilityMode::Legacy)],
             ..ReliabilityConfig::default()
         };
-        assert!(mixed.validate(&FaultPlan::none(), Some(&deadlines)).is_err());
+        assert!(mixed.validate(&FaultPlan::none()).is_err());
         let mixed = ReliabilityConfig {
             mode: ReliabilityMode::Legacy,
             link_overrides: vec![("a->b".into(), ReliabilityMode::Arq)],
             ..ReliabilityConfig::default()
         };
-        assert!(mixed.validate(&FaultPlan::none(), Some(&deadlines)).is_err());
+        assert!(mixed.validate(&FaultPlan::none()).is_err());
         // Overrides within the checked family are fine, and mode_for
         // resolves them.
         let cfg = ReliabilityConfig {
@@ -896,7 +882,7 @@ mod tests {
             link_overrides: vec![("a->b".into(), ReliabilityMode::Crc)],
             ..ReliabilityConfig::default()
         };
-        assert!(cfg.validate(&FaultPlan::none(), Some(&deadlines)).is_ok());
+        assert!(cfg.validate(&FaultPlan::none()).is_ok());
         assert_eq!(cfg.mode_for("a->b"), ReliabilityMode::Crc);
         assert_eq!(cfg.mode_for("c->d"), ReliabilityMode::Arq);
         assert!(cfg.any_arq() && cfg.any_checked());
@@ -906,7 +892,8 @@ mod tests {
     fn effective_tuning_is_clamped_by_the_deadline() {
         let t = ArqTuning::default();
         let d = DeadlineConfig { aggregation_ms: 50, ..DeadlineConfig::fast() };
-        assert_eq!(t.effective(Some(&d)).max_age_ms, 50);
-        assert_eq!(t.effective(None).max_age_ms, t.max_age_ms);
+        assert_eq!(t.effective(&d).max_age_ms, 50);
+        let loose = DeadlineConfig { aggregation_ms: 60_000, ..d };
+        assert_eq!(t.effective(&loose).max_age_ms, t.max_age_ms);
     }
 }

@@ -3,14 +3,14 @@
 //! [`RawSection`]), so fault plans and deadline degradation apply to it
 //! exactly like they do to the real topology.
 
-use super::orchestrate::{drive_samples, make_policy, validate_run};
+use super::orchestrate::{drive_samples, validate_run};
 use super::PumpStopGuard;
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
 use crate::fault::CrashState;
 use crate::link::LinkFactory;
 use crate::message::{dequantize_image, quantize_image, Frame, NodeId, Payload};
-use crate::node::collector::Collector;
+use crate::node::collector::{AggPolicy, Collector};
 use crate::node::device::blank_view;
 use crate::node::report::{assemble_report, NodeReport, RunTallies, SimReport};
 use crate::node::tier::{Escalation, FanIn, RawSection, TierNode};
@@ -31,8 +31,8 @@ use std::sync::Arc;
 /// The baseline shares the topology runner's device fan-out machinery —
 /// the fault layer, the [`Collector`] finalize path and the watchdog
 /// orchestrator — so `cfg.failed_devices`, `cfg.fault_plan` and
-/// `cfg.deadlines` degrade it exactly like the staged hierarchy instead
-/// of being silently ignored.
+/// `cfg.deadlines` shape it exactly like the staged hierarchy instead of
+/// being silently ignored.
 ///
 /// # Errors
 ///
@@ -78,7 +78,7 @@ pub fn run_cloud_only_baseline(
         });
     }
     let n_samples = labels.len();
-    let tolerant = cfg.deadlines.is_some();
+    let dl = cfg.deadlines.unwrap_or_default();
     let clock = SimClock::start();
     let view_dims = partition.config.view_dims();
 
@@ -89,14 +89,8 @@ pub fn run_cloud_only_baseline(
         .map(|c| (c.device, CrashState::new(c.after_frames)))
         .collect();
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let mut factory = LinkFactory::new(
-        &cfg.fault_plan,
-        &cfg.reliability,
-        cfg.deadlines.as_ref(),
-        tolerant,
-        Arc::clone(&obs),
-        cfg.transport,
-    );
+    let mut factory =
+        LinkFactory::new(&cfg.fault_plan, &cfg.reliability, &dl, Arc::clone(&obs), cfg.transport);
 
     // The devices forward their captures unchanged, so the orchestrator
     // feeds the device->cloud links directly (no device threads) — but
@@ -129,8 +123,9 @@ pub fn run_cloud_only_baseline(
     let collector = Collector::new(
         num_devices,
         vec![blank_raw; num_devices],
-        make_policy(cfg.deadlines, clock, &live),
+        AggPolicy::new(&dl, clock),
         (0..num_devices).map(Some).collect(),
+        &live,
     );
 
     let mut node_reports: Vec<NodeReport> = Vec::new();
@@ -178,7 +173,7 @@ pub fn run_cloud_only_baseline(
                     i as u64,
                     NodeId::Device(d as u8),
                     Payload::RawImage { pixels: quantize_image(&view) },
-                ))?;
+                ));
             }
             Ok(())
         };
@@ -193,7 +188,7 @@ pub fn run_cloud_only_baseline(
         };
         let t = drive_samples(
             n_samples,
-            cfg.deadlines,
+            dl,
             clock,
             &mut orch_inbox,
             send_captures,
@@ -205,7 +200,7 @@ pub fn run_cloud_only_baseline(
         pump_stop.store(true, Ordering::Release);
 
         let s = factory.shutdown_sender(&cloud_tx, "orchestrator->cloud")?;
-        s.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown))?;
+        s.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown));
         node_reports.push(handle.join().map_err(|_| RuntimeError::Disconnected {
             node: "baseline cloud thread".to_string(),
         })??);

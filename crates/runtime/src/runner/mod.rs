@@ -25,7 +25,7 @@ mod orchestrate;
 mod streaming;
 
 pub use baseline::run_cloud_only_baseline;
-use orchestrate::{drive_samples, make_policy, validate_run};
+use orchestrate::{drive_samples, validate_run};
 use streaming::drive_stream;
 
 use crate::clock::SimClock;
@@ -33,7 +33,7 @@ use crate::error::{Result, RuntimeError};
 use crate::fault::CrashState;
 use crate::link::{LinkFactory, LinkSender};
 use crate::message::{Frame, NodeId, Payload};
-use crate::node::collector::Collector;
+use crate::node::collector::{AggPolicy, Collector};
 use crate::node::device::{blank_signature, device_node, BlankSignature};
 use crate::node::report::{assemble_report, NodeReport, RunTallies, SimReport};
 use crate::node::tier::{
@@ -137,7 +137,7 @@ pub fn run_topology(
     let tier_names: Vec<String> = topology.tiers.iter().map(|t| t.name.clone()).collect();
     cfg.fault_plan.validate_nodes(&tier_names, &cfg.failed_devices)?;
     let n_samples = labels.len();
-    let tolerant = cfg.deadlines.is_some();
+    let dl = cfg.deadlines.unwrap_or_default();
     let clock = SimClock::start();
     let last = topology.tiers.len() - 1; // the chain is never empty
 
@@ -160,7 +160,7 @@ pub fn run_topology(
 
     // Per-device crash counters; the LinkFactory owns the per-link fault
     // layers and the reliability (wire format / ARQ) wiring, leaving every
-    // link on its exact legacy path when both are off.
+    // link on the plain legacy wire when both are off.
     let crash_states: HashMap<usize, Arc<CrashState>> = cfg
         .fault_plan
         .crash_after
@@ -178,14 +178,8 @@ pub fn run_topology(
         .map(|c| (c.node.clone(), CrashState::new(c.after_frames)))
         .collect();
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let mut factory = LinkFactory::new(
-        &cfg.fault_plan,
-        &cfg.reliability,
-        cfg.deadlines.as_ref(),
-        tolerant,
-        Arc::clone(&obs),
-        cfg.transport,
-    );
+    let mut factory =
+        LinkFactory::new(&cfg.fault_plan, &cfg.reliability, &dl, Arc::clone(&obs), cfg.transport);
     factory.set_socket_chaos(cfg.socket_chaos);
 
     // Wiring, in the exact legacy link order (the report lists links in
@@ -444,23 +438,24 @@ pub fn run_topology(
     let gateway_collector = Collector::new(
         num_devices,
         blanks.iter().map(|b| b.scores.clone()).collect(),
-        make_policy(cfg.deadlines, clock, &live),
+        AggPolicy::new(&dl, clock),
         identity_sources.clone(),
+        &live,
     );
     // Tier collector geometry: the chain's first tier fans in from the
-    // devices; every later tier has its single predecessor as its source.
+    // devices; every later tier has its single predecessor as its source
+    // (the live mask still travels along for elastic re-parenting).
     let mut tier_collectors: Vec<Collector<Tensor>> = Vec::new();
     for (k, blanks_k) in tier_blanks.into_iter().enumerate() {
-        tier_collectors.push(if k == 0 {
-            Collector::new(
-                num_devices,
-                blanks_k,
-                make_policy(cfg.deadlines, clock, &live),
-                identity_sources.clone(),
-            )
-        } else {
-            Collector::new(1, blanks_k, make_policy(cfg.deadlines, clock, &[true]), vec![None])
-        });
+        let (sources, device_of_source) =
+            if k == 0 { (num_devices, identity_sources.clone()) } else { (1, vec![None]) };
+        tier_collectors.push(Collector::new(
+            sources,
+            blanks_k,
+            AggPolicy::new(&dl, clock),
+            device_of_source,
+            &live,
+        ));
     }
 
     let resolve_policy = |rule: &TierExitRule| match rule {
@@ -502,7 +497,7 @@ pub fn run_topology(
             // keeps the legacy single slot.
             let capture_cap = cfg.stream.as_ref().map_or(1, |s| s.queue_cap);
             handles.push(scope.spawn(move || {
-                device_node(d, part, rx, to_gw, to_upper, tolerant, capture_cap, dev_obs, dev_el)
+                device_node(d, part, rx, to_gw, to_upper, capture_cap, dev_obs, dev_el)
             }));
         }
         // Gateway: score aggregation, entropy exit, device broadcast.
@@ -596,7 +591,7 @@ pub fn run_topology(
                     i as u64,
                     NodeId::Orchestrator,
                     Payload::Capture { view },
-                ))?;
+                ));
             }
             if let Some(r) = &routing {
                 if r.gateway_bypass && r.device_parent.is_some() {
@@ -606,7 +601,7 @@ pub fn run_topology(
                                 i as u64,
                                 NodeId::Orchestrator,
                                 Payload::OffloadRequest,
-                            ))?;
+                            ));
                         }
                     }
                 }
@@ -616,26 +611,21 @@ pub fn run_topology(
         let t = match &cfg.stream {
             // Open loop: samples arrive on their own schedule, latency is
             // measured wall time from the scheduled arrival.
-            Some(stream) => {
-                let dl = cfg.deadlines.ok_or_else(|| RuntimeError::Config {
-                    reason: "streaming arrivals require deadlines (set cfg.deadlines)".to_string(),
-                })?;
-                drive_stream(
-                    n_samples,
-                    stream,
-                    dl,
-                    clock,
-                    &mut orch_inbox,
-                    send_captures,
-                    |tier| topology.exit_point_of(tier),
-                    &obs,
-                    elastic_driver.as_mut(),
-                )?
-            }
+            Some(stream) => drive_stream(
+                n_samples,
+                stream,
+                dl,
+                clock,
+                &mut orch_inbox,
+                send_captures,
+                |tier| topology.exit_point_of(tier),
+                &obs,
+                elastic_driver.as_mut(),
+            )?,
             // Closed loop: lockstep feed, analytic link-model latency.
             None => drive_samples(
                 n_samples,
-                cfg.deadlines,
+                dl,
                 clock,
                 &mut orch_inbox,
                 send_captures,
@@ -651,14 +641,14 @@ pub fn run_topology(
         // Orderly shutdown: devices first, then gateway, then the chain.
         for (d, cap) in capture_tx.iter().enumerate() {
             if live[d] {
-                cap.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown))?;
+                cap.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown));
             }
         }
         let s = factory.shutdown_sender(&gateway_tx, "orchestrator->gateway")?;
-        s.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown))?;
+        s.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown));
         for (spec, tx) in topology.tiers.iter().zip(&tier_txs) {
             let s = factory.shutdown_sender(tx, &format!("orchestrator->{}", spec.name))?;
-            s.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown))?;
+            s.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown));
         }
 
         for h in handles {

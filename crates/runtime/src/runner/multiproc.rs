@@ -45,14 +45,14 @@
 //! and socket chaos ([`SocketChaosPlan`](crate::SocketChaosPlan)) are the
 //! multi-process counterparts of that in-process fault plan.
 
-use super::orchestrate::{drive_samples, make_policy, validate_run};
+use super::orchestrate::{drive_samples, validate_run};
 use super::{compute_blanks, PumpStopGuard};
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
 use crate::fault::{ProcAction, ProcChaosEvent, ProcTarget};
 use crate::link::{LinkFactory, LinkSender, NodeInbox};
 use crate::message::{Frame, NodeId, Payload};
-use crate::node::collector::Collector;
+use crate::node::collector::{AggPolicy, Collector};
 use crate::node::device::device_node;
 use crate::node::report::{assemble_report, NodeReport, RunTallies, SimReport};
 use crate::node::tier::{Escalation, FanIn, FeatureSection, ScoresSection, TierNode};
@@ -410,9 +410,6 @@ fn validate_launch(cfg: &HierarchyConfig) -> Result<()> {
                 .to_string(),
         );
     }
-    if cfg.deadlines.is_none() {
-        return reject("multi-process runs require deadlines (set cfg.deadlines)".to_string());
-    }
     if cfg.elastic.is_some() {
         return reject("elastic orchestration is in-process only (unset cfg.elastic)".to_string());
     }
@@ -706,16 +703,11 @@ pub fn launch(
     validate_run(num_devices, device_views, labels, cfg)?;
     cfg.proc_chaos.validate(topology.tiers.len())?;
     let n_samples = labels.len();
+    let dl = cfg.deadlines.unwrap_or_default();
     let clock = SimClock::start();
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let mut factory = LinkFactory::new(
-        &cfg.fault_plan,
-        &cfg.reliability,
-        cfg.deadlines.as_ref(),
-        true,
-        Arc::clone(&obs),
-        cfg.transport,
-    );
+    let mut factory =
+        LinkFactory::new(&cfg.fault_plan, &cfg.reliability, &dl, Arc::clone(&obs), cfg.transport);
     factory.set_socket_chaos(cfg.socket_chaos);
     let table = link_table(&topology);
     let manifest = encode_role_manifest(&topology.config, cfg);
@@ -930,13 +922,13 @@ pub fn launch(
             }
             for (d, cap) in capture_tx.iter().enumerate() {
                 let view = device_views[d].index_axis0(i)?;
-                cap.send(&Frame::new(seq, NodeId::Orchestrator, Payload::Capture { view }))?;
+                cap.send(&Frame::new(seq, NodeId::Orchestrator, Payload::Capture { view }));
             }
             Ok(())
         };
         let t = drive_samples(
             n_samples,
-            cfg.deadlines,
+            dl,
             clock,
             &mut orch_inbox,
             send_captures,
@@ -961,7 +953,7 @@ pub fn launch(
         };
         for _ in 0..repeats {
             for cap in &capture_tx {
-                cap.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown))?;
+                cap.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown));
             }
             if alive(Role::Gateway) {
                 let gw = addrs.get("gateway").ok_or_else(|| {
@@ -971,7 +963,7 @@ pub fn launch(
                     0,
                     NodeId::Orchestrator,
                     Payload::Shutdown,
-                ))?;
+                ));
             }
             for (k, spec) in topology.tiers.iter().enumerate() {
                 if !alive(Role::Tier(k)) {
@@ -982,7 +974,7 @@ pub fn launch(
                 })?;
                 factory
                     .shutdown_sender(to, &format!("orchestrator->{}", spec.name))?
-                    .send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown))?;
+                    .send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown));
             }
         }
         tallies = Some(t);
@@ -1157,16 +1149,12 @@ where
     let (blanks, tier_blanks) = compute_blanks(&topology)?;
     let num_devices = topology.num_devices();
     let live = vec![true; num_devices];
+    // The manifest always carries deadlines; the default is the fallback.
+    let dl = cfg.deadlines.unwrap_or_default();
     let clock = SimClock::start();
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let mut factory = LinkFactory::new(
-        &cfg.fault_plan,
-        &cfg.reliability,
-        cfg.deadlines.as_ref(),
-        true,
-        Arc::clone(&obs),
-        cfg.transport,
-    );
+    let mut factory =
+        LinkFactory::new(&cfg.fault_plan, &cfg.reliability, &dl, Arc::clone(&obs), cfg.transport);
     factory.set_socket_chaos(cfg.socket_chaos);
     // A respawned role numbers its ARQ frames from a fresh generation
     // base so surviving receivers rebase instead of treating its frames
@@ -1320,7 +1308,7 @@ where
                     let part = topology.devices[d].clone();
                     let dev_obs = Arc::clone(&obs);
                     handles.push(scope.spawn(move || {
-                        device_node(d, part, rx, to_gw, to_upper, true, 1, dev_obs, None)
+                        device_node(d, part, rx, to_gw, to_upper, 1, dev_obs, None)
                     }));
                 }
             }
@@ -1334,8 +1322,9 @@ where
                 let collector = Collector::new(
                     num_devices,
                     blanks.iter().map(|b| b.scores.clone()).collect(),
-                    make_policy(cfg.deadlines, clock, &live),
+                    AggPolicy::new(&dl, clock),
                     (0..num_devices).map(Some).collect(),
+                    &live,
                 );
                 let node = TierNode {
                     name: "gateway".to_string(),
@@ -1360,21 +1349,18 @@ where
                 let k = *k;
                 let spec = topology.tiers.get(k).ok_or_else(|| missing("its tier spec"))?;
                 let last = topology.tiers.len() - 1;
-                let collector = if k == 0 {
-                    Collector::new(
-                        num_devices,
-                        tier_blanks[0].clone(),
-                        make_policy(cfg.deadlines, clock, &live),
-                        (0..num_devices).map(Some).collect(),
-                    )
+                let (sources, device_of_source) = if k == 0 {
+                    (num_devices, (0..num_devices).map(Some).collect())
                 } else {
-                    Collector::new(
-                        1,
-                        tier_blanks[k].clone(),
-                        make_policy(cfg.deadlines, clock, &[true]),
-                        vec![None],
-                    )
+                    (1, vec![None])
                 };
+                let collector = Collector::new(
+                    sources,
+                    tier_blanks[k].clone(),
+                    AggPolicy::new(&dl, clock),
+                    device_of_source,
+                    &live,
+                );
                 let escalation = if k == last {
                     Escalation::Terminal
                 } else {

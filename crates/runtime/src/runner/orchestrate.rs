@@ -1,14 +1,14 @@
-//! Shared run plumbing: input validation, the collector aggregation
-//! policy, and the orchestrator's sample-driving loop (strict legacy path
-//! without deadlines, watchdog path with them) — used identically by the
-//! topology runner and the cloud-offload baseline.
+//! Shared run plumbing: input validation and the orchestrator's
+//! closed-loop watchdog driver (bounded waits, bounded capture
+//! retransmissions, typed per-sample timeouts) — used identically by the
+//! topology runner, the cloud-offload baseline and the multi-process
+//! launcher.
 
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
 use crate::fault::DeadlineConfig;
 use crate::link::NodeInbox;
 use crate::message::Payload;
-use crate::node::collector::AggPolicy;
 use crate::node::report::{RunTallies, SampleOutcome};
 use crate::obs::{ObsEvent, RunObs};
 use crate::orchestrator::ElasticDriver;
@@ -43,18 +43,8 @@ pub(super) fn validate_run(
         return Err(RuntimeError::Config { reason: "all devices failed".to_string() });
     }
     cfg.fault_plan.validate(num_devices)?;
-    if cfg.fault_plan.is_active() && cfg.deadlines.is_none() {
-        return Err(RuntimeError::Config {
-            reason: "an active fault plan requires deadlines (set cfg.deadlines)".to_string(),
-        });
-    }
-    cfg.reliability.validate(&cfg.fault_plan, cfg.deadlines.as_ref())?;
+    cfg.reliability.validate(&cfg.fault_plan)?;
     if let Some(el) = &cfg.elastic {
-        if cfg.deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: "elastic orchestration requires deadlines (set cfg.deadlines)".to_string(),
-            });
-        }
         if el.heartbeat_ms == 0 || el.suspect_after == 0 {
             return Err(RuntimeError::Config {
                 reason: "elastic heartbeat_ms and suspect_after must be at least 1".to_string(),
@@ -67,77 +57,35 @@ pub(super) fn validate_run(
     }
     if let Some(stream) = &cfg.stream {
         stream.validate()?;
-        if cfg.deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: "streaming arrivals require deadlines (set cfg.deadlines)".to_string(),
-            });
-        }
     }
     cfg.socket_chaos.validate()?;
-    if cfg.socket_chaos.is_active() {
-        if !cfg.transport.is_socket() {
-            return Err(RuntimeError::Config {
-                reason: "socket chaos needs a socket transport (set cfg.transport to tcp or udp)"
-                    .to_string(),
-            });
-        }
-        if cfg.deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: "socket chaos requires deadlines (set cfg.deadlines)".to_string(),
-            });
-        }
+    if cfg.socket_chaos.is_active() && !cfg.transport.is_socket() {
+        return Err(RuntimeError::Config {
+            reason: "socket chaos needs a socket transport (set cfg.transport to tcp or udp)"
+                .to_string(),
+        });
     }
-    if cfg.transport.is_socket() {
-        // Socket reads are deadline-budgeted timed polls; without
-        // deadlines the receive loops would rely on channel-disconnect
-        // semantics that sockets do not provide.
-        if cfg.deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: format!(
-                    "the {} transport requires deadlines (set cfg.deadlines)",
-                    cfg.transport.name()
-                ),
-            });
-        }
-        if cfg.transport == crate::transport::TransportConfig::Udp
-            && !cfg.reliability.mode.is_checked()
-        {
-            return Err(RuntimeError::Config {
-                reason: "the udp transport requires a checked wire format \
-                         (ReliabilityConfig::crc or ::arq); legacy frames carry no \
-                         integrity or loss protection on real datagrams"
-                    .to_string(),
-            });
-        }
+    if cfg.transport == crate::transport::TransportConfig::Udp && !cfg.reliability.mode.is_checked()
+    {
+        return Err(RuntimeError::Config {
+            reason: "the udp transport requires a checked wire format \
+                     (ReliabilityConfig::crc or ::arq); legacy frames carry no \
+                     integrity or loss protection on real datagrams"
+                .to_string(),
+        });
     }
     Ok(live)
 }
 
-/// Aggregation policy shared by every collector: static waits for the
-/// precomputed live count; dynamic waits up to the deadline.
-pub(super) fn make_policy(
-    deadlines: Option<DeadlineConfig>,
-    clock: SimClock,
-    live: &[bool],
-) -> AggPolicy {
-    match deadlines {
-        None => AggPolicy::Static { required: live.iter().filter(|&&l| l).count() },
-        Some(dl) => AggPolicy::Deadline {
-            aggregation_ms: dl.aggregation_ms,
-            suspect_after: dl.suspect_after,
-            clock,
-        },
-    }
-}
-
-/// The orchestrator's sample-driving loop, shared by the topology runner
-/// and the baseline: the legacy strict path without deadlines, the
-/// watchdog path (bounded waits, bounded capture retransmissions, typed
-/// per-sample timeouts) with them.
+/// The orchestrator's closed-loop driver, shared by the topology runner,
+/// the baseline and the multi-process launcher: one sample in flight, a
+/// bounded wait per attempt, bounded capture retransmissions, then a typed
+/// per-sample timeout. Stale and duplicate verdicts are discarded by
+/// sequence number, so a retried sample can never hang or corrupt the run.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn drive_samples(
     n_samples: usize,
-    deadlines: Option<DeadlineConfig>,
+    dl: DeadlineConfig,
     clock: SimClock,
     orch_rx: &mut NodeInbox,
     mut send_captures: impl FnMut(usize) -> Result<()>,
@@ -154,93 +102,62 @@ pub(super) fn drive_samples(
     let samples_ctr = obs.registry().counter("run.samples");
     let retries_ctr = obs.registry().counter("run.capture_retries");
     let timeouts_ctr = obs.registry().counter("run.watchdog_timeouts");
-    match deadlines {
-        None => {
-            // Legacy exact path: block on each verdict, strict order.
-            for i in 0..n_samples {
-                let seq = i as u64;
-                samples_ctr.incr();
-                obs.emit(|| ObsEvent::SampleEnqueued { seq });
-                send_captures(i)?;
-                let verdict = orch_rx.recv()?;
-                if verdict.seq != seq {
-                    return Err(RuntimeError::Protocol {
-                        reason: format!("verdict for sample {} while running {seq}", verdict.seq),
-                    });
+    for i in 0..n_samples {
+        let seq = i as u64;
+        samples_ctr.incr();
+        obs.emit(|| ObsEvent::SampleEnqueued { seq });
+        // Elastic: flip the churn flags due at this sample before its
+        // captures go out, so a scheduled crash takes effect exactly at
+        // `at_sample`.
+        if let Some(driver) = elastic.as_deref_mut() {
+            driver.before_sample(seq);
+        }
+        let mut resolved = None;
+        let mut attempts = 0u32;
+        'sample: loop {
+            send_captures(i)?;
+            let deadline = clock.deadline_in(dl.watchdog_ms);
+            loop {
+                match orch_rx.recv_deadline(deadline)? {
+                    Some(frame) if frame.seq == seq => {
+                        if let Payload::Verdict { prediction, exit_tier } = frame.payload {
+                            resolved = Some((prediction, exit_tier));
+                            break 'sample;
+                        }
+                    }
+                    Some(_) => {} // stale or duplicate verdict
+                    None => break,
                 }
-                let Payload::Verdict { prediction, exit_tier } = verdict.payload else {
-                    return Err(RuntimeError::Protocol {
-                        reason: "orchestrator received a non-verdict".to_string(),
-                    });
-                };
+            }
+            if attempts >= dl.max_retries {
+                break;
+            }
+            attempts += 1;
+            capture_retries += 1;
+            retries_ctr.incr();
+        }
+        match resolved {
+            Some((prediction, exit_tier)) => {
                 predictions[i] = prediction as usize;
                 exits[i] = exit_point_of(exit_tier)?;
                 // Widening the f32 link-model latency is lossless, so the
                 // f32 mean fields stay bit-identical to the seed runtime.
                 latencies[i] = f64::from(latency_of(exit_tier));
             }
-        }
-        Some(dl) => {
-            // Watchdog path: bounded wait per attempt, bounded capture
-            // retransmissions, then a typed per-sample timeout. Stale
-            // and duplicate verdicts are discarded by sequence number,
-            // so a retried sample can never hang or corrupt the run.
-            for i in 0..n_samples {
-                let seq = i as u64;
-                samples_ctr.incr();
-                obs.emit(|| ObsEvent::SampleEnqueued { seq });
-                // Elastic: flip the churn flags due at this sample before
-                // its captures go out, so a scheduled crash takes effect
-                // exactly at `at_sample`.
-                if let Some(driver) = elastic.as_deref_mut() {
-                    driver.before_sample(seq);
-                }
-                let mut resolved = None;
-                let mut attempts = 0u32;
-                'sample: loop {
-                    send_captures(i)?;
-                    let deadline = clock.deadline_in(dl.watchdog_ms);
-                    loop {
-                        match orch_rx.recv_deadline(deadline)? {
-                            Some(frame) if frame.seq == seq => {
-                                if let Payload::Verdict { prediction, exit_tier } = frame.payload {
-                                    resolved = Some((prediction, exit_tier));
-                                    break 'sample;
-                                }
-                            }
-                            Some(_) => {} // stale or duplicate verdict
-                            None => break,
-                        }
-                    }
-                    if attempts >= dl.max_retries {
-                        break;
-                    }
-                    attempts += 1;
-                    capture_retries += 1;
-                    retries_ctr.incr();
-                }
-                match resolved {
-                    Some((prediction, exit_tier)) => {
-                        predictions[i] = prediction as usize;
-                        exits[i] = exit_point_of(exit_tier)?;
-                        latencies[i] = f64::from(latency_of(exit_tier));
-                    }
-                    None => {
-                        let waited_ms = u64::from(attempts + 1) * dl.watchdog_ms;
-                        timeouts_ctr.incr();
-                        obs.emit(|| ObsEvent::WatchdogTimeout { seq, waited_ms });
-                        outcomes[i] = SampleOutcome::TimedOut { waited_ms };
-                        predictions[i] = usize::MAX; // never matches a label
-                        latencies[i] = waited_ms as f64;
-                    }
-                }
-                // Elastic: the post-sample heartbeat sweep — membership
-                // moves and topology epochs are published only here,
-                // strictly between samples.
-                if let Some(driver) = elastic.as_deref_mut() {
-                    driver.after_sample(seq, orch_rx, None)?;
-                }
+            None => {
+                let waited_ms = u64::from(attempts + 1) * dl.watchdog_ms;
+                timeouts_ctr.incr();
+                obs.emit(|| ObsEvent::WatchdogTimeout { seq, waited_ms });
+                outcomes[i] = SampleOutcome::TimedOut { waited_ms };
+                predictions[i] = usize::MAX; // never matches a label
+                latencies[i] = waited_ms as f64;
             }
+        }
+        // Elastic: the post-sample heartbeat sweep — membership moves and
+        // topology epochs are published only here, strictly between
+        // samples.
+        if let Some(driver) = elastic.as_deref_mut() {
+            driver.after_sample(seq, orch_rx, None)?;
         }
     }
     Ok(RunTallies { predictions, exits, latencies, outcomes, capture_retries })

@@ -37,12 +37,14 @@ pub struct HierarchyConfig {
     /// Latency model of the hop to the edge/cloud.
     pub uplink: LatencyModel,
     /// Dynamic faults injected into the links mid-run. The default
-    /// ([`FaultPlan::none`]) injects nothing; an active plan requires
-    /// `deadlines` to be set so the hierarchy degrades instead of hanging.
+    /// ([`FaultPlan::none`]) injects nothing; under an active plan the
+    /// `deadlines` make the hierarchy degrade instead of hanging.
     pub fault_plan: FaultPlan,
-    /// Deadline-based graceful degradation. `None` (the default) keeps the
-    /// exact legacy static path: aggregators wait indefinitely for the
-    /// precomputed live set and the orchestrator blocks on each verdict.
+    /// Deadline-based graceful degradation: how long aggregators wait for
+    /// a sample's contributions before substituting blanks, and how long
+    /// the orchestrator waits for a verdict before retrying and finally
+    /// timing the sample out. Every run is bounded by them; `None` (the
+    /// default) means [`DeadlineConfig::default`].
     pub deadlines: Option<DeadlineConfig>,
     /// Transport reliability: wire framing and recovery. The default
     /// ([`ReliabilityConfig::off`]) keeps the legacy unchecked framing
@@ -55,31 +57,27 @@ pub struct HierarchyConfig {
     /// timeline events.
     pub obs: ObsConfig,
     /// Elastic orchestration: heartbeat membership and runtime topology
-    /// reconfiguration. `None` (the default) keeps the static topology and
-    /// its exact legacy path; required when the fault plan schedules
-    /// churn, and requires `deadlines`.
+    /// reconfiguration. `None` (the default) keeps the static topology;
+    /// required when the fault plan schedules churn.
     pub elastic: Option<ElasticConfig>,
     /// Open-loop streaming: a seeded arrival process, a bounded admission
     /// window with typed load-shedding, and micro-batched tier compute.
-    /// `None` (the default) keeps the closed-loop lockstep feed and its
-    /// exact legacy path; requires `deadlines`.
+    /// `None` (the default) keeps the closed-loop lockstep feed.
     pub stream: Option<StreamConfig>,
     /// Which dataplane carries the frames: the default in-process
     /// channel (bit-identical to the legacy runner), length-prefixed
     /// TCP streams, or UDP datagrams (pair with
     /// [`ReliabilityConfig::arq`] to recover real datagram loss).
-    /// Socket transports require `deadlines`.
     pub transport: TransportConfig,
     /// Real process-level chaos for the multi-process launcher: scheduled
     /// SIGKILLs and respawns of role processes. The default
     /// ([`ProcChaosPlan::none`]) schedules nothing; an active plan is
-    /// launcher-only (the in-process runners reject it) and requires
-    /// `deadlines`.
+    /// launcher-only (the in-process runners reject it).
     pub proc_chaos: ProcChaosPlan,
     /// Seeded chaos at the socket boundary of the real-FD transports
     /// (UDP drop/duplicate/delay, mid-stream TCP severs). The default
     /// ([`SocketChaosPlan::none`]) injects nothing; an active plan
-    /// requires a socket transport and `deadlines`.
+    /// requires a socket transport.
     pub socket_chaos: SocketChaosPlan,
 }
 
@@ -446,7 +444,8 @@ impl Default for RoleExtras {
 pub(crate) fn decode_role_manifest(
     text: &str,
 ) -> Result<(DdnnConfig, HierarchyConfig, RoleExtras)> {
-    let mut map: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
+    use std::collections::HashMap;
+    let mut map: HashMap<&str, &str> = HashMap::new();
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() {
@@ -525,13 +524,12 @@ pub(crate) fn decode_role_manifest(
         ..ReliabilityConfig::default()
     };
     // Optional keys: absent in pre-supervision manifests, so every one
-    // falls back to its default instead of erroring.
-    let opt_num = |k: &str, default: u64| -> Result<u64> {
-        match map.get(k) {
-            Some(v) => num(k, v),
-            None => Ok(default),
-        }
-    };
+    // falls back to its default instead of erroring. Values parse at
+    // their field's own width, so an out-of-range value is a typed error
+    // rather than a silent wrap.
+    fn opt_num<T: std::str::FromStr>(map: &HashMap<&str, &str>, k: &str, default: T) -> Result<T> {
+        map.get(k).map_or(Ok(default), |v| num(k, v))
+    }
     let opt_f32_bits = |k: &str| -> Result<f32> {
         match map.get(k) {
             Some(v) => {
@@ -543,15 +541,15 @@ pub(crate) fn decode_role_manifest(
         }
     };
     let socket_chaos = SocketChaosPlan {
-        seed: opt_num("socket_chaos_seed", 0)?,
+        seed: opt_num(&map, "socket_chaos_seed", 0)?,
         drop_prob: opt_f32_bits("socket_chaos_drop")?,
         duplicate_prob: opt_f32_bits("socket_chaos_dup")?,
-        delay_ms: opt_num("socket_chaos_delay_ms", 0)? as u32,
+        delay_ms: opt_num(&map, "socket_chaos_delay_ms", 0)?,
         sever_prob: opt_f32_bits("socket_chaos_sever")?,
     };
     let extras = RoleExtras {
-        tseq_base: opt_num("tseq_base", 0)? as u32,
-        heartbeat_ms: opt_num("heartbeat_ms", RoleExtras::default().heartbeat_ms)?,
+        tseq_base: opt_num(&map, "tseq_base", 0)?,
+        heartbeat_ms: opt_num(&map, "heartbeat_ms", RoleExtras::default().heartbeat_ms)?,
     };
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(f32_bits("local_threshold")?),
@@ -575,6 +573,7 @@ mod tests {
     use super::*;
     use ddnn_core::{AggregationScheme, Ddnn, EdgeConfig, Precision};
     use ddnn_tensor::rng::rng_from_seed;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
 
     fn partition(edge: bool) -> DdnnPartition {
@@ -675,6 +674,148 @@ mod tests {
         let (_, c3, e3) = decode_role_manifest(&plain).unwrap();
         assert!(!c3.socket_chaos.is_active());
         assert_eq!(e3, RoleExtras::default());
+    }
+
+    #[test]
+    fn manifest_rejects_values_wider_than_their_field() {
+        let model = partition(false).config.clone();
+        let cfg = HierarchyConfig {
+            transport: crate::transport::TransportConfig::Udp,
+            socket_chaos: SocketChaosPlan { seed: 1, drop_prob: 0.5, ..SocketChaosPlan::none() },
+            ..HierarchyConfig::default()
+        };
+        let manifest = encode_role_manifest(&model, &cfg);
+        let too_wide = u64::from(u32::MAX) + 1;
+        for extra in [format!("tseq_base={too_wide}"), format!("socket_chaos_delay_ms={too_wide}")]
+        {
+            // Appended keys override the encoded ones (last write wins).
+            let text = format!("{manifest}{extra}\n");
+            match decode_role_manifest(&text) {
+                Err(RuntimeError::Protocol { reason }) => {
+                    assert!(reason.contains("malformed value"), "{extra}: {reason}");
+                }
+                Ok((_, c, e)) => panic!(
+                    "{extra} decoded as tseq_base={} delay_ms={}",
+                    e.tseq_base, c.socket_chaos.delay_ms
+                ),
+                Err(other) => panic!("{extra}: expected a Protocol error, got {other}"),
+            }
+        }
+        // The widest in-range value still decodes exactly.
+        let text = format!("{manifest}tseq_base={}\n", u32::MAX);
+        assert_eq!(decode_role_manifest(&text).unwrap().2.tseq_base, u32::MAX);
+    }
+
+    /// The manifest fields a role host runs under, comparable by value.
+    fn manifest_view(cfg: &HierarchyConfig) -> impl PartialEq + std::fmt::Debug {
+        (
+            cfg.local_threshold.value().to_bits(),
+            cfg.edge_threshold.value().to_bits(),
+            cfg.deadlines.unwrap_or_default(),
+            cfg.reliability.clone(),
+            cfg.transport,
+            cfg.socket_chaos,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn manifest_decode_never_panics_on_arbitrary_text(
+            codes in prop::collection::vec(0u32..0x400, 0..400),
+        ) {
+            // Mostly ASCII (separators, digits, keys' letters) with some
+            // multi-byte characters mixed in.
+            let text: String = codes.iter().filter_map(|&c| char::from_u32(c)).collect();
+            let _ = decode_role_manifest(&text);
+        }
+
+        #[test]
+        fn manifest_decode_never_panics_on_mutated_lines(
+            line in 0usize..64,
+            junk in prop::collection::vec(32u8..127, 0..24),
+            mode in 0u8..4,
+        ) {
+            let junk: String = junk.iter().map(|&c| char::from(c)).collect();
+            let model = partition(true).config.clone();
+            let cfg = HierarchyConfig {
+                deadlines: Some(DeadlineConfig::fast()),
+                transport: crate::transport::TransportConfig::Udp,
+                reliability: ReliabilityConfig::arq(),
+                socket_chaos: SocketChaosPlan {
+                    seed: 7,
+                    drop_prob: 0.25,
+                    duplicate_prob: 0.125,
+                    delay_ms: 3,
+                    sever_prob: 0.0,
+                },
+                ..HierarchyConfig::default()
+            };
+            let mut lines: Vec<String> =
+                encode_role_manifest(&model, &cfg).lines().map(str::to_string).collect();
+            let i = line % lines.len();
+            match mode {
+                // Replace the value, keep the key.
+                0 => {
+                    let key = lines[i].split_once('=').map_or("", |(k, _)| k).to_string();
+                    lines[i] = format!("{key}={junk}");
+                }
+                // Replace the whole line.
+                1 => lines[i] = junk,
+                // Drop the line.
+                2 => {
+                    lines.remove(i);
+                }
+                // Truncate the line.
+                _ => {
+                    let cut = junk.len().min(lines[i].len());
+                    lines[i].truncate(cut);
+                }
+            }
+            let _ = decode_role_manifest(&lines.join("\n"));
+        }
+
+        #[test]
+        fn valid_manifests_round_trip(
+            edge in 0u8..2,
+            seed in 0u64..1_000_000,
+            local in 0.0f32..1.0,
+            aggregation_ms in 1u64..10_000,
+            watchdog_ms in 1u64..100_000,
+            max_retries in 0u32..8,
+            suspect_after in 1u32..8,
+            tseq_base in 0u32..=u32::MAX,
+            delay_ms in 0u32..=u32::MAX,
+            drop_prob in 0.01f32..1.0,
+        ) {
+            // A nonzero drop probability keeps the socket-chaos plan
+            // active, so every one of its keys is encoded.
+            let model = DdnnConfig { seed, ..partition(edge == 1).config.clone() };
+            let cfg = HierarchyConfig {
+                local_threshold: ExitThreshold::new(local),
+                deadlines: Some(DeadlineConfig {
+                    aggregation_ms,
+                    watchdog_ms,
+                    max_retries,
+                    suspect_after,
+                }),
+                transport: crate::transport::TransportConfig::Udp,
+                reliability: ReliabilityConfig::crc(),
+                socket_chaos: SocketChaosPlan {
+                    seed,
+                    drop_prob,
+                    duplicate_prob: 0.0,
+                    delay_ms,
+                    sever_prob: 0.0,
+                },
+                ..HierarchyConfig::default()
+            };
+            let mut text = encode_role_manifest(&model, &cfg);
+            text.push_str(&format!("tseq_base={tseq_base}\nheartbeat_ms=25\n"));
+            let (m2, c2, extras) = decode_role_manifest(&text).unwrap();
+            prop_assert_eq!(m2, model);
+            prop_assert_eq!(manifest_view(&c2), manifest_view(&cfg));
+            prop_assert_eq!(extras, RoleExtras { tseq_base, heartbeat_ms: 25 });
+        }
     }
 
     #[test]

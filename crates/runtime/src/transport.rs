@@ -107,8 +107,8 @@ const MAX_FRAME_BYTES: usize = 1 << 24;
 
 /// The sending half of a transport: pushes one encoded frame. Returns
 /// `false` when the peer is gone (hung-up channel, broken stream, refused
-/// datagram); [`LinkSender`](crate::link::LinkSender) maps that to
-/// [`RuntimeError::Disconnected`] or swallows it when lenient.
+/// datagram); [`LinkSender`](crate::link::LinkSender) books that as a
+/// frame lost in flight.
 pub(crate) trait TransportTx: Send + Sync + std::fmt::Debug {
     /// Transmits one frame's wire bytes; `false` means the peer is gone.
     fn transmit(&self, wire: Bytes) -> bool;

@@ -1,12 +1,13 @@
 //! Chaos tests of the dynamic fault-injection layer: seeded drops,
 //! duplicates, jitter and mid-run crashes must never hang the runtime;
 //! deadline-based degradation must reproduce the paper's static
-//! fault-tolerance semantics; and duplicate frames must change nothing.
+//! fault-tolerance semantics; duplicate frames must change nothing; and
+//! a fault plan composes with the default deadlines.
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
     run_distributed_inference, DeadlineConfig, DeviceCrash, FaultPlan, HierarchyConfig,
-    RuntimeError, SampleOutcome,
+    RuntimeError, SampleOutcome, SimReport,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -23,6 +24,25 @@ fn small_model() -> Ddnn {
 fn random_views(n: usize, devices: usize, seed: u64) -> Vec<Tensor> {
     let mut rng = rng_from_seed(seed);
     (0..devices).map(|_| Tensor::rand_uniform([n, 3, 32, 32], 0.0, 1.0, &mut rng)).collect()
+}
+
+/// Every sample resolved to exactly one typed outcome.
+fn assert_conserved(report: &SimReport, n: usize) {
+    assert_eq!(report.outcomes.len(), n);
+    assert_eq!(
+        report.classified_count() + report.shed_count() + report.timed_out_count(),
+        n,
+        "conservation: classified + shed + timed out = n"
+    );
+}
+
+/// A fault-free run resolved every sample cleanly: no substitution, no
+/// capture retry and no timeout anywhere.
+fn assert_clean(report: &SimReport) {
+    assert!(report.degraded_samples.is_empty(), "degraded: {:?}", report.degraded_samples);
+    assert_eq!(report.capture_retries, 0);
+    assert_eq!(report.timed_out_count(), 0);
+    assert!(report.device_timeouts.iter().all(|&t| t == 0), "{:?}", report.device_timeouts);
 }
 
 /// Generous deadlines for determinism-sensitive tests: long enough that a
@@ -151,6 +171,7 @@ fn dynamic_crash_matches_static_failure_exactly() {
     assert_eq!(dynamic_report.device_timeouts[0], 0);
     assert_eq!(dynamic_report.degraded_fraction, 1.0);
     assert_eq!(static_report.degraded_fraction, 0.0, "static failure is not degradation");
+    assert_clean(&static_report);
     assert_eq!(dynamic_report.timed_out_count(), 0);
 }
 
@@ -170,6 +191,7 @@ fn duplicates_change_nothing_and_are_accounted_once() {
         &HierarchyConfig { local_threshold: t, ..HierarchyConfig::default() },
     )
     .unwrap();
+    assert_clean(&clean);
     let noisy = run_distributed_inference(
         &model.partition(),
         &views,
@@ -200,43 +222,39 @@ fn duplicates_change_nothing_and_are_accounted_once() {
 }
 
 #[test]
-fn deadlines_without_faults_match_the_legacy_path_byte_for_byte() {
-    let model = small_model();
+fn deadlines_without_faults_match_in_process_inference() {
+    // Without faults no deadline fires: every deadline configuration
+    // reproduces the in-process model's verdicts and the same traffic.
+    let mut model = small_model();
     let views = random_views(8, 3, 24);
     let labels = vec![0usize; 8];
     let t = ExitThreshold::new(0.5);
-    let legacy = run_distributed_inference(
-        &model.partition(),
-        &views,
-        &labels,
-        &HierarchyConfig { local_threshold: t, ..HierarchyConfig::default() },
-    )
-    .unwrap();
-    let dynamic = run_distributed_inference(
-        &model.partition(),
-        &views,
-        &labels,
-        &HierarchyConfig {
-            local_threshold: t,
-            deadlines: Some(safe_deadlines()),
-            ..HierarchyConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(dynamic.predictions, legacy.predictions);
-    assert_eq!(dynamic.exits, legacy.exits);
-    assert_eq!(dynamic.links, legacy.links, "traffic diverged without any fault injected");
-    assert_eq!(dynamic.degraded_fraction, 0.0);
-    assert_eq!(dynamic.capture_retries, 0);
-    assert!(dynamic.device_timeouts.iter().all(|&t| t == 0));
+    let expected = model.infer(&views, t, None).unwrap();
+    let mut traffic = Vec::new();
+    for deadlines in [None, Some(safe_deadlines())] {
+        let report = run_distributed_inference(
+            &model.partition(),
+            &views,
+            &labels,
+            &HierarchyConfig { local_threshold: t, deadlines, ..HierarchyConfig::default() },
+        )
+        .unwrap();
+        assert_eq!(report.predictions, expected.predictions, "{deadlines:?}");
+        assert_eq!(report.exits, expected.exits, "{deadlines:?}");
+        assert_clean(&report);
+        traffic.push(report.links);
+    }
+    assert_eq!(traffic[0], traffic[1], "traffic diverged without any fault injected");
 }
 
 #[test]
-fn active_fault_plan_requires_deadlines() {
+fn active_fault_plan_runs_under_default_deadlines() {
+    // No explicit deadlines: the defaults bound the run, and every sample
+    // still resolves to exactly one typed outcome.
     let model = small_model();
     let views = random_views(2, 3, 25);
     let labels = vec![0usize; 2];
-    let err = run_distributed_inference(
+    let report = run_distributed_inference(
         &model.partition(),
         &views,
         &labels,
@@ -245,8 +263,10 @@ fn active_fault_plan_requires_deadlines() {
             ..HierarchyConfig::default()
         },
     )
-    .unwrap_err();
-    assert!(matches!(err, RuntimeError::Config { .. }));
+    .unwrap();
+    assert_conserved(&report, 2);
+    let dropped: usize = report.links.iter().map(|(_, s)| s.frames_dropped).sum();
+    assert!(dropped > 0, "the plan dropped nothing");
 }
 
 #[test]

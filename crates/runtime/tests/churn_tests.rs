@@ -392,12 +392,6 @@ fn churn_configuration_is_validated_up_front() {
     let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
     assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
 
-    // Elastic orchestration needs deadlines to detect anything.
-    let mut cfg = elastic_cfg(vec![]);
-    cfg.deadlines = None;
-    let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
-    assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
-
     // A churn target must name a real node.
     let cfg = elastic_cfg(vec![crash(0, ChurnTarget::Tier("fog".to_string()))]);
     let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
@@ -407,6 +401,24 @@ fn churn_configuration_is_validated_up_front() {
     let err = run_cloud_only_baseline(&model.partition(), &views, &labels, &elastic_cfg(vec![]))
         .unwrap_err();
     assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
+}
+
+#[test]
+fn elastic_orchestration_runs_under_default_deadlines() {
+    // No explicit deadlines: membership detection runs on the defaults,
+    // and a churn-free elastic run classifies every sample.
+    let model = edge_model();
+    let n = 4;
+    let views = random_views(n, 3, 66);
+    let labels = vec![0usize; n];
+    let cfg = HierarchyConfig { deadlines: None, ..elastic_cfg(vec![]) };
+    let report = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap();
+    assert_eq!(
+        report.classified_count() + report.shed_count() + report.timed_out_count(),
+        n,
+        "conservation: classified + shed + timed out = n"
+    );
+    assert_eq!(report.classified_count(), n, "nothing churned, so nothing is lost");
 }
 
 proptest! {

@@ -6,7 +6,7 @@ use ddnn_core::{
     AggregationScheme, CommCostModel, Ddnn, DdnnConfig, EdgeConfig, ExitPoint, ExitThreshold,
 };
 use ddnn_runtime::{
-    run_cloud_only_baseline, run_distributed_inference, HierarchyConfig, RuntimeError,
+    run_cloud_only_baseline, run_distributed_inference, HierarchyConfig, RuntimeError, SimReport,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -25,6 +25,14 @@ fn random_views(n: usize, devices: usize, seed: u64) -> Vec<Tensor> {
     (0..devices).map(|_| Tensor::rand_uniform([n, 3, 32, 32], 0.0, 1.0, &mut rng)).collect()
 }
 
+/// A fault-free run resolved every sample cleanly: verdicts in order, no
+/// substitution, no capture retry and no timeout anywhere.
+fn assert_clean(report: &SimReport) {
+    assert!(report.degraded_samples.is_empty(), "degraded: {:?}", report.degraded_samples);
+    assert_eq!(report.capture_retries, 0);
+    assert_eq!(report.timed_out_count(), 0);
+}
+
 #[test]
 fn distributed_matches_in_process_inference_exactly() {
     let mut model = small_model();
@@ -36,6 +44,7 @@ fn distributed_matches_in_process_inference_exactly() {
     let report = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap();
     assert_eq!(report.predictions, expected.predictions);
     assert_eq!(report.exits, expected.exits);
+    assert_clean(&report);
 }
 
 #[test]
@@ -56,6 +65,7 @@ fn distributed_matches_in_process_for_all_aggregation_schemes() {
                 run_distributed_inference(&model.partition(), &views, &labels, &hier).unwrap();
             assert_eq!(report.predictions, expected.predictions, "{local}-{cloud}");
             assert_eq!(report.exits, expected.exits, "{local}-{cloud}");
+            assert_clean(&report);
         }
     }
 }
@@ -132,6 +142,10 @@ fn failed_device_matches_blank_input_semantics() {
     .unwrap();
     assert_eq!(report.predictions, expected.predictions);
     assert_eq!(report.exits, expected.exits);
+    // A statically failed device is substituted, never waited for or
+    // charged, and its blank is not degradation.
+    assert_clean(&report);
+    assert!(report.device_timeouts.iter().all(|&t| t == 0), "{:?}", report.device_timeouts);
     // The failed device sends nothing.
     for (name, stats) in &report.links {
         if name.starts_with("device1->") {
@@ -195,6 +209,7 @@ fn edge_hierarchy_runs_and_matches_in_process() {
     .unwrap();
     assert_eq!(report.predictions, expected.predictions);
     assert_eq!(report.exits, expected.exits);
+    assert_clean(&report);
 }
 
 #[test]

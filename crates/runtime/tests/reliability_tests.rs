@@ -258,14 +258,25 @@ fn corruption_faults_require_a_checked_wire_format() {
 }
 
 #[test]
-fn arq_requires_deadlines() {
+fn arq_runs_under_default_deadlines() {
+    // No explicit deadlines: ARQ's give-up horizon is the default
+    // aggregation deadline, and every sample resolves to one typed
+    // outcome.
     let model = small_model();
-    let views = random_views(4, 3, 38);
-    let labels = vec![0usize; 4];
-    let cfg =
-        HierarchyConfig { reliability: ReliabilityConfig::arq(), ..HierarchyConfig::default() };
-    let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
-    assert!(matches!(err, RuntimeError::Config { .. }), "got {err:?}");
+    let n = 4;
+    let views = random_views(n, 3, 38);
+    let labels = vec![0usize; n];
+    let cfg = HierarchyConfig {
+        fault_plan: FaultPlan { seed: 38, drop_prob: 0.2, ..FaultPlan::none() },
+        reliability: ReliabilityConfig::arq(),
+        ..HierarchyConfig::default()
+    };
+    let report = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap();
+    assert_eq!(
+        report.classified_count() + report.shed_count() + report.timed_out_count(),
+        n,
+        "conservation: classified + shed + timed out = n"
+    );
 }
 
 #[test]

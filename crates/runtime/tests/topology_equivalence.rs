@@ -63,7 +63,7 @@ fn fingerprint(report: &SimReport) -> String {
     s
 }
 
-/// Seed-runtime fingerprint: 3 devices, no edge, default deadlines off.
+/// Seed-runtime fingerprint: 3 devices, no edge, default deadlines.
 const GOLDEN_NO_EDGE: &str = "\
 predictions [1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0]
 exits LCLLLLLLLLLL

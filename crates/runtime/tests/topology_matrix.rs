@@ -3,10 +3,10 @@
 //! chains deeper than the paper's (device → gateway → edge → edge →
 //! cloud) are plain [`HierarchyBuilder`] instantiations.
 //!
-//! `just topology-matrix` sweeps this suite across `DDNN_THREADS={1,4}`
-//! and `DDNN_MATRIX_DEADLINES={off,on}`; with the env var set every run
-//! repeats with (generous) deadline-based degradation enabled, which must
-//! not change a fault-free run's verdicts.
+//! Every run carries generous deadlines: the degradation machinery is
+//! active but never fires on a fault-free run, so verdicts must match
+//! in-process inference exactly. `just topology-matrix` sweeps this suite
+//! across `DDNN_THREADS={1,4}`.
 
 use ddnn_core::{
     AggregationScheme, ConvPBlock, Ddnn, DdnnConfig, EdgeConfig, ExitHead, ExitPoint,
@@ -14,7 +14,7 @@ use ddnn_core::{
 };
 use ddnn_runtime::{
     run_cloud_only_baseline, run_distributed_inference, run_topology, DeadlineConfig,
-    HierarchyBuilder, HierarchyConfig,
+    HierarchyBuilder, HierarchyConfig, SimReport,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -27,12 +27,20 @@ fn random_views(n: usize, devices: usize, seed: u64) -> Vec<Tensor> {
 /// Generous deadlines: degradation machinery active, nothing close enough
 /// to expire on a fault-free run, so verdicts must be unchanged.
 fn matrix_deadlines() -> Option<DeadlineConfig> {
-    std::env::var("DDNN_MATRIX_DEADLINES").is_ok().then_some(DeadlineConfig {
+    Some(DeadlineConfig {
         aggregation_ms: 60_000,
         watchdog_ms: 120_000,
         max_retries: 2,
         suspect_after: u32::MAX,
     })
+}
+
+/// A fault-free run resolved every sample cleanly: no substitution, no
+/// capture retry and no timeout anywhere.
+fn assert_clean(report: &SimReport, what: &str) {
+    assert!(report.degraded_samples.is_empty(), "{what}: {:?}", report.degraded_samples);
+    assert_eq!(report.capture_retries, 0, "{what}");
+    assert_eq!(report.timed_out_count(), 0, "{what}");
 }
 
 fn model_of(devices: usize, edge: bool) -> Ddnn {
@@ -65,6 +73,7 @@ fn check_cell(devices: usize, edge: bool, seed: u64) {
     assert_eq!(report.predictions, expected.predictions, "devices={devices} edge={edge}");
     assert_eq!(report.exits, expected.exits, "devices={devices} edge={edge}");
     assert_eq!(report.classified_count(), 6, "devices={devices} edge={edge}");
+    assert_clean(&report, &format!("devices={devices} edge={edge}"));
 }
 
 #[test]
@@ -77,6 +86,7 @@ fn config_a_cloud_only_baseline() {
     let report = run_cloud_only_baseline(&model.partition(), &views, &labels, &cfg).unwrap();
     assert!(report.exits.iter().all(|&e| e == ExitPoint::Cloud));
     assert_eq!(report.classified_count(), 6);
+    assert_clean(&report, "baseline");
     // Up to the wire format's 8-bit image quantization the verdicts track
     // the in-process cloud exit.
     let expected = model.predict_at(&views, ExitPoint::Cloud).unwrap();
@@ -132,7 +142,7 @@ fn deep_chain(model: &Ddnn, t1: ExitThreshold, t2: ExitThreshold) -> ddnn_runtim
         .unwrap()
 }
 
-fn link_frames(report: &ddnn_runtime::SimReport, link: &str) -> usize {
+fn link_frames(report: &SimReport, link: &str) -> usize {
     report
         .links
         .iter()
@@ -159,6 +169,7 @@ fn deep_chain_forwards_through_every_tier_to_the_terminal() {
     let report = run_topology(&topology, &views, &labels, &cfg).unwrap();
     assert!(report.exits.iter().all(|&e| e == ExitPoint::Cloud), "{:?}", report.exits);
     assert_eq!(report.classified_count(), 4);
+    assert_clean(&report, "deep chain");
     assert_eq!(link_frames(&report, "edgeA->edgeB"), 4);
     assert_eq!(link_frames(&report, "edgeB->core"), 4);
     assert_eq!(link_frames(&report, "core->orchestrator"), 4);
@@ -182,6 +193,7 @@ fn deep_chain_first_tier_can_absorb_every_sample() {
     let report = run_topology(&topology, &views, &labels, &cfg).unwrap();
     assert!(report.exits.iter().all(|&e| e == ExitPoint::Edge), "{:?}", report.exits);
     assert_eq!(report.classified_count(), 4);
+    assert_clean(&report, "deep chain");
     assert_eq!(link_frames(&report, "edgeA->orchestrator"), 4);
     assert_eq!(link_frames(&report, "edgeA->edgeB"), 0);
     assert_eq!(link_frames(&report, "edgeB->core"), 0);

@@ -76,16 +76,20 @@ fn same_run_is_verdict_identical_over_channel_tcp_and_udp() {
 }
 
 #[test]
-fn socket_transports_require_deadlines() {
+fn socket_transports_run_under_default_deadlines() {
+    // No explicit deadlines: socket polls are budgeted by the defaults,
+    // and every sample resolves to exactly one typed outcome.
     let model = edge_model();
     let views = random_views(2, 2, 6);
     let labels = vec![0usize, 1];
     for t in [TransportConfig::Tcp, TransportConfig::Udp] {
         let cfg = HierarchyConfig { deadlines: None, ..socket_cfg(t) };
-        let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
-        assert!(
-            matches!(&err, RuntimeError::Config { reason } if reason.contains("deadlines")),
-            "{}: {err}",
+        let r = run_distributed_inference(&model.partition(), &views, &labels, &cfg)
+            .unwrap_or_else(|e| panic!("{} run failed: {e}", t.name()));
+        assert_eq!(
+            r.classified_count() + r.shed_count() + r.timed_out_count(),
+            2,
+            "{}: conservation: classified + shed + timed out = n",
             t.name()
         );
     }

@@ -19,15 +19,13 @@ test:
     cargo test --workspace -q
 
 # The topology sweep: configs (a)-(e) plus deep HierarchyBuilder chains
-# across worker-pool sizes and with deadline degradation on/off, with the
+# (deadline degradation always active) across worker-pool sizes, with the
 # runtime crate held to clippy -D warnings; node_threads checks that node
 # threads never fan kernels out to the pool.
 topology-matrix:
     cargo clippy -p ddnn-runtime --all-targets -- -D warnings
     DDNN_THREADS=1 cargo test -p ddnn-runtime --test topology_matrix --test topology_equivalence --test node_threads -q
     DDNN_THREADS=4 cargo test -p ddnn-runtime --test topology_matrix --test topology_equivalence --test node_threads -q
-    DDNN_THREADS=1 DDNN_MATRIX_DEADLINES=1 cargo test -p ddnn-runtime --test topology_matrix -q
-    DDNN_THREADS=4 DDNN_MATRIX_DEADLINES=1 cargo test -p ddnn-runtime --test topology_matrix -q
 
 # The reliability sweep: chaos, wire-integrity, ARQ and observability
 # suites across worker-pool sizes (fixed fault seeds, so every leg is
